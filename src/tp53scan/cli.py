@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from .alignment import (
     DNA_SCHEME,
@@ -22,59 +20,18 @@ from .alignment import (
     align_global,
     identity_percent,
 )
+from .codec import to_dict
 from .composition import DEFAULT_GC_THRESHOLD, composition, reference_gate
 from .datafiles import bundled_db_path, bundled_refstore_path
 from .errors import RecordCountError, ScanError
 from .mutcall import MutationCallSet, call_mutations
 from .mutdb import FilterQuery, load_db, query
-from .pipeline import (
-    PipelineConfig,
-    _mutation_to_dict,
-    _record_to_dict,
-    predict,
-    render_text,
-    report_to_dict,
-)
+from .pipeline import PipelineConfig, predict, render_text, report_to_dict
 from .refstore import DEFAULT_PREFIX_CAP, load_store
 from .seqio import Alphabet, FastaDocument, read_fasta, write_fasta
 from .translation import translate
 
 WRAP = 60
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved settings for one invocation."""
-
-    gc_threshold: float = DEFAULT_GC_THRESHOLD
-    dna_scheme: ScoringScheme = field(default_factory=lambda: DNA_SCHEME)
-    protein_scheme: ScoringScheme = field(default_factory=lambda: PROTEIN_SCHEME)
-    db_path: Path = field(default_factory=bundled_db_path)
-    refstore_path: Path = field(default_factory=bundled_refstore_path)
-    output: str = "text"
-    where_clauses: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gc_threshold <= 100.0:
-            raise ValueError(
-                f"threshold must be within [0, 100], got {self.gc_threshold}"
-            )
-        if self.output not in ("text", "json"):
-            raise ValueError(f"output must be text or json, got {self.output!r}")
-
-
-def _where_pair(pair: str) -> str:
-    name, sep, value = pair.partition("=")
-    if not sep or not name.strip():
-        raise argparse.ArgumentTypeError(f"expected field=value, got {pair!r}")
-    if name.strip() == "codon":
-        try:
-            int(value.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"codon clause needs an integer, got {value.strip()!r}"
-            ) from None
-    return pair
 
 
 def _scheme_from_args(args: argparse.Namespace, base: ScoringScheme) -> ScoringScheme:
@@ -86,28 +43,6 @@ def _scheme_from_args(args: argparse.Namespace, base: ScoringScheme) -> ScoringS
     )
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    kwargs: dict[str, object] = {"output": getattr(args, "output", "text")}
-    if getattr(args, "threshold", None) is not None:
-        kwargs["gc_threshold"] = args.threshold
-    if getattr(args, "db", None) is not None:
-        kwargs["db_path"] = Path(args.db)
-    if getattr(args, "refstore", None) is not None:
-        kwargs["refstore_path"] = Path(args.refstore)
-    if getattr(args, "where", None):
-        kwargs["where_clauses"] = tuple(args.where)
-    alphabet = getattr(args, "alphabet", "dna")
-    if hasattr(args, "match"):
-        scheme = _scheme_from_args(
-            args, PROTEIN_SCHEME if alphabet == "protein" else DNA_SCHEME
-        )
-        if alphabet == "protein":
-            kwargs["protein_scheme"] = scheme
-        else:
-            kwargs["dna_scheme"] = scheme
-    return CliConfig(**kwargs)
-
-
 def _emit(payload: dict, text: str, output: str) -> None:
     if output == "json":
         print(json.dumps(payload, indent=2))
@@ -116,13 +51,12 @@ def _emit(payload: dict, text: str, output: str) -> None:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     doc = read_fasta(args.fasta, Alphabet.DNA)
     blocks: list[str] = []
     rows: list[dict] = []
     for rec in doc:
         report = composition(rec)
-        decision = reference_gate(report, config.gc_threshold)
+        decision = reference_gate(report, args.threshold)
         counts = " ".join(f"{b}={report.counts[b]}" for b in "ACGTN")
         blocks.append(
             "\n".join(
@@ -132,22 +66,19 @@ def _cmd_gc(args: argparse.Namespace) -> int:
                     f"counts: {counts}",
                     f"gc_percent: {report.gc_percent:.2f}",
                     f"at_percent: {report.at_percent:.2f}",
-                    f"gate({config.gc_threshold:g}): {decision.value}",
+                    f"gate({args.threshold:g}): {decision.value}",
                 ]
             )
         )
         rows.append(
             {
                 "id": rec.id,
-                "length": report.length,
-                "counts": dict(report.counts),
-                "gc_percent": report.gc_percent,
-                "at_percent": report.at_percent,
-                "threshold": config.gc_threshold,
+                **to_dict(report),
+                "threshold": args.threshold,
                 "decision": decision.value,
             }
         )
-    _emit({"records": rows}, "\n\n".join(blocks) + "\n", config.output)
+    _emit({"records": rows}, "\n\n".join(blocks) + "\n", args.output)
     return 0
 
 
@@ -177,10 +108,9 @@ def _alignment_blocks(result: AlignmentResult) -> str:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    alphabet = Alphabet.PROTEIN if args.alphabet == "protein" else Alphabet.DNA
-    scheme = config.protein_scheme if args.alphabet == "protein" else config.dna_scheme
-    doc = read_fasta(args.fasta, alphabet)
+    protein = args.alphabet == "protein"
+    scheme = _scheme_from_args(args, PROTEIN_SCHEME if protein else DNA_SCHEME)
+    doc = read_fasta(args.fasta, Alphabet.PROTEIN if protein else Alphabet.DNA)
     if len(doc) != 2:
         raise RecordCountError(f"align needs exactly 2 records, found {len(doc)}")
     result = align_global(doc[0], doc[1], scheme)
@@ -199,18 +129,14 @@ def _cmd_align(args: argparse.Namespace) -> int:
     payload = {
         "a": doc[0].id,
         "b": doc[1].id,
-        "score": result.score,
         "identity_percent": identity_percent(result),
-        "aligned_a": result.aligned_a,
-        "aligned_b": result.aligned_b,
-        "ops": [[op.value, count] for op, count in result.ops],
+        **to_dict(result),
     }
-    _emit(payload, text + "\n", config.output)
+    _emit(payload, text + "\n", args.output)
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     doc = read_fasta(args.fasta, Alphabet.DNA)
     proteins = tuple(translate(rec, frame=args.frame) for rec in doc)
     out_doc = FastaDocument(records=proteins)
@@ -220,7 +146,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
             for p in proteins
         ]
     }
-    _emit(payload, write_fasta(out_doc), config.output)
+    _emit(payload, write_fasta(out_doc), args.output)
     return 0
 
 
@@ -233,41 +159,26 @@ def _callset_text(ref_id: str, subj_id: str, calls: MutationCallSet) -> str:
     ]
     if calls.mutations:
         lines.append("mutations:")
-        for m in calls.mutations:
-            lines.append(
-                f"  {m.codon_number} {m.ref_codon}>{m.alt_codon} "
-                f"{m.ref_aa}>{m.alt_aa} {m.kind.value}"
-            )
+        lines.extend(f"  {m.summary()}" for m in calls.mutations)
     else:
         lines.append("mutations: none")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_call(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    scheme = _scheme_from_args(args, DNA_SCHEME)
     ref = read_fasta(args.ref_fasta, Alphabet.DNA)[0]
     subj = read_fasta(args.subj_fasta, Alphabet.DNA)[0]
-    calls = call_mutations(ref, subj, config.dna_scheme)
-    payload = {
-        "reference": ref.id,
-        "subject": subj.id,
-        "dna_identical": calls.dna_identical,
-        "has_indel": calls.has_indel,
-        "calls": [_mutation_to_dict(m) for m in calls.mutations],
-    }
-    _emit(payload, _callset_text(ref.id, subj.id, calls), config.output)
+    calls = call_mutations(ref, subj, scheme)
+    payload = {"reference": ref.id, "subject": subj.id, **to_dict(calls)}
+    _emit(payload, _callset_text(ref.id, subj.id, calls), args.output)
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    db = load_db(config.db_path)
-    try:
-        q = FilterQuery.from_strings(config.where_clauses)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = query(db, q)
+    # a malformed clause is a usage error (exit 2) even when the db is unreadable
+    q = FilterQuery.from_strings(args.where)
+    result = query(load_db(args.db), q)
     lines = [f"matches: {len(result.matches)}"]
     for r in result.matches:
         lines.append(
@@ -276,29 +187,24 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     if result.distinct_tumor_types:
         lines.append("tumor types: " + "; ".join(result.distinct_tumor_types))
-    payload = {
-        "matches": [_record_to_dict(r) for r in result.matches],
-        "distinct_tumor_types": list(result.distinct_tumor_types),
-    }
-    _emit(payload, "\n".join(lines) + "\n", config.output)
+    _emit(to_dict(result), "\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    store = load_store(config.refstore_path)
-    db = load_db(config.db_path)
-    doc = read_fasta(args.subj_fasta, Alphabet.DNA)
-    if len(doc) != 1:
-        raise RecordCountError(f"predict needs exactly 1 record, found {len(doc)}")
-    pipeline_config = PipelineConfig(
-        gc_threshold=config.gc_threshold,
-        dna_scheme=config.dna_scheme,
+    config = PipelineConfig(
+        gc_threshold=args.threshold,
+        dna_scheme=_scheme_from_args(args, DNA_SCHEME),
         allow_partial=args.allow_partial,
         homolog_prefix_cap=args.prefix_cap,
     )
-    report = predict(store, db, doc[0], args.gene, pipeline_config)
-    _emit(report_to_dict(report), render_text(report), config.output)
+    store = load_store(args.refstore)
+    db = load_db(args.db)
+    doc = read_fasta(args.subj_fasta, Alphabet.DNA)
+    if len(doc) != 1:
+        raise RecordCountError(f"predict needs exactly 1 record, found {len(doc)}")
+    report = predict(store, db, doc[0], args.gene, config)
+    _emit(report_to_dict(report), render_text(report), args.output)
     return 0
 
 
@@ -333,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument(
         "--threshold",
         type=float,
-        default=None,
+        default=DEFAULT_GC_THRESHOLD,
         help=f"GC acceptance threshold in percent (default: {DEFAULT_GC_THRESHOLD})",
     )
     _add_output_flag(p_gc)
@@ -374,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="filter the mutation database")
     p_query.add_argument(
-        "--db", default=None, help="TSV database path (default: bundled fixture)"
+        "--db", default=bundled_db_path(),
+        help="TSV database path (default: bundled fixture)",
     )
     p_query.add_argument(
         "--where",
         action="append",
-        type=_where_pair,
         default=[],
         metavar="FIELD=VALUE",
         help="equality clause; repeat to AND clauses together",
@@ -398,15 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument("subj_fasta", help="subject DNA FASTA (one record)")
     p_pred.add_argument(
-        "--refstore", default=None,
+        "--refstore", default=bundled_refstore_path(),
         help="reference store directory (default: bundled fixture)",
     )
     p_pred.add_argument(
-        "--db", default=None, help="TSV database path (default: bundled fixture)"
+        "--db", default=bundled_db_path(),
+        help="TSV database path (default: bundled fixture)",
     )
     p_pred.add_argument("--gene", default="TP53", help="gene token (default: TP53)")
     p_pred.add_argument(
-        "--threshold", type=float, default=None,
+        "--threshold", type=float, default=DEFAULT_GC_THRESHOLD,
         help=f"GC acceptance threshold (default: {DEFAULT_GC_THRESHOLD})",
     )
     p_pred.add_argument(

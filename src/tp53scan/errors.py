@@ -133,6 +133,10 @@ class NotInFrameError(ScanError):
     """Subject length is not a multiple of 3 and partial codons were not allowed."""
 
 
+class ReportFormatError(ScanError, ValueError):
+    """A serialized report is malformed: missing key, wrong type or failed check."""
+
+
 # --- CLI-level input validation
 
 

@@ -8,7 +8,7 @@ came through the alignment uninterrupted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .alignment import DNA_SCHEME, GAP, ScoringScheme, align_global
@@ -36,7 +36,7 @@ def classify_kind(ref_aa: str, alt_aa: str) -> MutationKind:
 
 @dataclass(frozen=True)
 class CodonMutation:
-    codon_number: int
+    codon_number: int = field(metadata={"wire": "codon"})
     ref_codon: str
     alt_codon: str
     ref_aa: str
@@ -57,6 +57,13 @@ class CodonMutation:
                 f"kind {self.kind.value} inconsistent with "
                 f"{self.ref_aa!r} -> {self.alt_aa!r}"
             )
+
+    def summary(self) -> str:
+        """One-line form used by text reports: ``248 CGG>TGG R>W Missense``."""
+        return (
+            f"{self.codon_number} {self.ref_codon}>{self.alt_codon} "
+            f"{self.ref_aa}>{self.alt_aa} {self.kind.value}"
+        )
 
     @classmethod
     def from_codons(
@@ -80,7 +87,7 @@ class CodonMutation:
 
 @dataclass(frozen=True)
 class MutationCallSet:
-    mutations: tuple[CodonMutation, ...]
+    mutations: tuple[CodonMutation, ...] = field(metadata={"wire": "calls"})
     has_indel: bool
     dna_identical: bool
 

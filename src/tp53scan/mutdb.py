@@ -39,7 +39,7 @@ def _norm(text: str) -> str:
 @dataclass(frozen=True)
 class MutationRecord:
     record_id: str
-    codon_number: int
+    codon_number: int = field(metadata={"wire": "codon"})
     wt_codon: str
     mut_codon: str
     wt_aa: str

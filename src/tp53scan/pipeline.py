@@ -23,15 +23,15 @@ from .composition import (
     composition,
     reference_gate,
 )
-from .errors import NoReferenceAcceptedError, NotInFrameError, TooShortError
-from .mutcall import (
-    CodonMutation,
-    MutationCallSet,
-    MutationKind,
-    call_mutations,
-    protein_differs,
+from .codec import from_dict, to_dict
+from .errors import (
+    NoReferenceAcceptedError,
+    NotInFrameError,
+    ReportFormatError,
+    TooShortError,
 )
-from .mutdb import AnnotationResult, Database, MutationRecord, classify
+from .mutcall import MutationCallSet, MutationKind, call_mutations, protein_differs
+from .mutdb import AnnotationResult, Database, classify
 from .refstore import DEFAULT_PREFIX_CAP, ReferenceEntry, ReferenceStore, best_homolog
 from .seqio import Alphabet, Sequence
 
@@ -84,26 +84,20 @@ class Verdict:
     kind: VerdictKind
     mutations: MutationCallSet
     annotations: AnnotationResult | None
-    reference_used: ReferenceDescriptor
-    gc_report: CompositionReport
+    reference_used: ReferenceDescriptor = field(metadata={"wire": "reference"})
+    gc_report: CompositionReport = field(metadata={"wire": "gc"})
     gate_trace: tuple[GateAttempt, ...]
 
     def __post_init__(self) -> None:
         if self.kind is VerdictKind.NO_RISK and not self.mutations.dna_identical:
             raise ValueError("NoRisk requires identical DNA")
-        if self.kind is VerdictKind.SILENT_ONLY:
-            if self.mutations.has_indel or any(
-                m.kind is not MutationKind.SILENT for m in self.mutations.mutations
-            ):
-                raise ValueError("SilentOnly allows only silent substitutions")
+        if self.kind is VerdictKind.SILENT_ONLY and protein_differs(self.mutations):
+            raise ValueError("SilentOnly allows only silent substitutions")
         if self.kind is VerdictKind.PRE_CANCER_MATCH:
             if self.annotations is None or not self.annotations.matches:
                 raise ValueError("PreCancerMatch requires non-empty annotations")
         if self.kind is VerdictKind.UNKNOWN_CANCER:
-            changed = self.mutations.has_indel or any(
-                m.kind is not MutationKind.SILENT for m in self.mutations.mutations
-            )
-            if not changed:
+            if not protein_differs(self.mutations):
                 raise ValueError("UnknownCancer requires a protein-level change")
             if self.annotations is not None:
                 raise ValueError("UnknownCancer cannot carry database matches")
@@ -247,156 +241,21 @@ def predict(
     )
 
 
-def _mutation_to_dict(m: CodonMutation) -> dict[str, Any]:
-    return {
-        "codon": m.codon_number,
-        "ref_codon": m.ref_codon,
-        "alt_codon": m.alt_codon,
-        "ref_aa": m.ref_aa,
-        "alt_aa": m.alt_aa,
-        "kind": m.kind.value,
-    }
-
-
-def _record_to_dict(r: MutationRecord) -> dict[str, Any]:
-    return {
-        "record_id": r.record_id,
-        "codon": r.codon_number,
-        "wt_codon": r.wt_codon,
-        "mut_codon": r.mut_codon,
-        "wt_aa": r.wt_aa,
-        "mut_aa": r.mut_aa,
-        "mutation_event": r.mutation_event,
-        "tumor_type": r.tumor_type,
-        "extra": dict(r.extra),
-    }
-
-
 def report_to_dict(report: PredictionReport) -> dict[str, Any]:
     """Serialize to the versioned tree format (JSON-compatible)."""
-    v = report.verdict
-    annotations = None
-    if v.annotations is not None:
-        annotations = {
-            "matches": [_record_to_dict(r) for r in v.annotations.matches],
-            "distinct_tumor_types": list(v.annotations.distinct_tumor_types),
-        }
-    return {
-        "report_version": REPORT_VERSION,
-        "subject_id": report.subject_id,
-        "generated_at": report.generated_at,
-        "tool_version": report.tool_version,
-        "verdict": {
-            "kind": v.kind.value,
-            "reference": {
-                "gene": v.reference_used.gene,
-                "source": v.reference_used.source,
-                "sequence_id": v.reference_used.sequence_id,
-                "length": v.reference_used.length,
-                "priority": v.reference_used.priority,
-            },
-            "gc": {
-                "counts": dict(v.gc_report.counts),
-                "gc_percent": v.gc_report.gc_percent,
-                "at_percent": v.gc_report.at_percent,
-                "length": v.gc_report.length,
-            },
-            "gate_trace": [
-                {
-                    "source": a.source,
-                    "gc_percent": a.gc_percent,
-                    "decision": a.decision.value,
-                }
-                for a in v.gate_trace
-            ],
-            "mutations": {
-                "dna_identical": v.mutations.dna_identical,
-                "has_indel": v.mutations.has_indel,
-                "calls": [_mutation_to_dict(m) for m in v.mutations.mutations],
-            },
-            "annotations": annotations,
-        },
-    }
+    return {"report_version": REPORT_VERSION, **to_dict(report)}
 
 
 def report_from_dict(payload: dict[str, Any]) -> PredictionReport:
     """Rebuild a report from its serialized form, re-running validation.
 
     Raises:
-        ValueError: unknown report_version or malformed payload.
+        ReportFormatError: unknown report_version or malformed payload.
     """
-    version = payload.get("report_version")
-    if version != REPORT_VERSION:
-        raise ValueError(f"unsupported report_version {version!r}")
-    v = payload["verdict"]
-
-    annotations = None
-    if v["annotations"] is not None:
-        matches = tuple(
-            MutationRecord(
-                record_id=r["record_id"],
-                codon_number=r["codon"],
-                wt_codon=r["wt_codon"],
-                mut_codon=r["mut_codon"],
-                wt_aa=r["wt_aa"],
-                mut_aa=r["mut_aa"],
-                mutation_event=r["mutation_event"],
-                tumor_type=r["tumor_type"],
-                extra=dict(r["extra"]),
-            )
-            for r in v["annotations"]["matches"]
-        )
-        annotations = AnnotationResult(
-            matches=matches,
-            distinct_tumor_types=tuple(v["annotations"]["distinct_tumor_types"]),
-        )
-
-    verdict = Verdict(
-        kind=VerdictKind(v["kind"]),
-        mutations=MutationCallSet(
-            mutations=tuple(
-                CodonMutation(
-                    codon_number=m["codon"],
-                    ref_codon=m["ref_codon"],
-                    alt_codon=m["alt_codon"],
-                    ref_aa=m["ref_aa"],
-                    alt_aa=m["alt_aa"],
-                    kind=MutationKind(m["kind"]),
-                )
-                for m in v["mutations"]["calls"]
-            ),
-            has_indel=v["mutations"]["has_indel"],
-            dna_identical=v["mutations"]["dna_identical"],
-        ),
-        annotations=annotations,
-        reference_used=ReferenceDescriptor(
-            gene=v["reference"]["gene"],
-            source=v["reference"]["source"],
-            sequence_id=v["reference"]["sequence_id"],
-            length=v["reference"]["length"],
-            priority=v["reference"]["priority"],
-        ),
-        gc_report=CompositionReport(
-            counts=dict(v["gc"]["counts"]),
-            gc_percent=v["gc"]["gc_percent"],
-            at_percent=v["gc"]["at_percent"],
-            length=v["gc"]["length"],
-        ),
-        gate_trace=tuple(
-            GateAttempt(
-                source=a["source"],
-                gc_percent=a["gc_percent"],
-                decision=GateDecision(a["decision"]),
-            )
-            for a in v["gate_trace"]
-        ),
-    )
-    return PredictionReport(
-        verdict=verdict,
-        subject_id=payload["subject_id"],
-        generated_at=payload["generated_at"],
-        tool_version=payload["tool_version"],
-    )
+    version = payload.get("report_version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != REPORT_VERSION:
+        raise ReportFormatError(f"unsupported report_version {version!r}")
+    return from_dict(PredictionReport, payload)
 
 
 def render_text(report: PredictionReport) -> str:
@@ -421,11 +280,7 @@ def render_text(report: PredictionReport) -> str:
         lines.append("mutations: none at codon resolution")
     else:
         lines.append("mutations:")
-        for m in v.mutations.mutations:
-            lines.append(
-                f"  {m.codon_number} {m.ref_codon}>{m.alt_codon} "
-                f"{m.ref_aa}>{m.alt_aa} {m.kind.value}"
-            )
+        lines.extend(f"  {m.summary()}" for m in v.mutations.mutations)
     if v.mutations.has_indel:
         lines.append("indels: present (not codon-resolved)")
     if v.annotations is None:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from tp53scan.cli import CliConfig, main, run
+import tp53scan.cli
+from tp53scan.cli import main, run
 from tp53scan.datafiles import (
     bundled_db_path,
     bundled_homolog_path,
@@ -259,11 +262,28 @@ def test_main_raises_system_exit(monkeypatch, capsys):
     assert "gc_percent" in capsys.readouterr().out
 
 
-def test_cli_config_validation():
-    with pytest.raises(ValueError):
-        CliConfig(gc_threshold=-1.0)
-    with pytest.raises(ValueError):
-        CliConfig(output="yaml")
+def test_gc_usage_errors_exit_2(capsys):
+    assert run(["gc", HOMOLOG, "--threshold", "-1"]) == 2
+    assert "threshold must be within [0, 100]" in capsys.readouterr().err
+    assert run(["gc", HOMOLOG, "--output", "yaml"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_names():
+    """The CLI stays a thin adapter: it imports only public package names."""
+    tree = ast.parse(Path(tp53scan.cli.__file__).read_text(encoding="utf-8"))
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "tp53scan"
+        ):
+            imported += (node.module or "").split(".")
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "tp53scan":
+                    imported += alias.name.split(".")
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_bundled_paths_exist():

@@ -8,6 +8,7 @@ from tp53scan.composition import GateDecision, composition
 from tp53scan.errors import (
     NoReferenceAcceptedError,
     NotInFrameError,
+    ReportFormatError,
     TooShortError,
 )
 from tp53scan.mutcall import CodonMutation, MutationCallSet, MutationKind
@@ -166,14 +167,16 @@ def test_report_round_trip_through_json(store, db, subject_r248w):
 def test_report_version_checked(store, db, subject_r248w):
     payload = report_to_dict(predict(store, db, subject_r248w, "TP53"))
     payload["report_version"] = 99
-    with pytest.raises(ValueError, match="report_version"):
+    with pytest.raises(ReportFormatError, match="report_version"):
         report_from_dict(payload)
+    with pytest.raises(ReportFormatError, match="report_version"):
+        report_from_dict([payload])
 
 
 def test_rebuild_revalidates_verdict(store, db, subject_r248w):
     payload = report_to_dict(predict(store, db, subject_r248w, "TP53"))
     payload["verdict"]["kind"] = "NoRisk"
-    with pytest.raises(ValueError):
+    with pytest.raises(ReportFormatError, match="NoRisk requires identical DNA"):
         report_from_dict(payload)
 
 
