@@ -52,6 +52,7 @@ from .pipeline import (
     report_to_dict,
 )
 from .refstore import (
+    RankedCandidate,
     ReferenceEntry,
     ReferenceStore,
     best_homolog,
@@ -96,6 +97,7 @@ __all__ = [
     "PROTEIN_SCHEME",
     "PipelineConfig",
     "PredictionReport",
+    "RankedCandidate",
     "ReferenceDescriptor",
     "ReferenceEntry",
     "ReferenceStore",

@@ -192,17 +192,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        gc_threshold=args.threshold,
-        dna_scheme=_scheme_from_args(args, DNA_SCHEME),
-        allow_partial=args.allow_partial,
-        homolog_prefix_cap=args.prefix_cap,
-    )
+    scheme = _scheme_from_args(args, DNA_SCHEME)
     store = load_store(args.refstore)
     db = load_db(args.db)
     doc = read_fasta(args.subj_fasta, Alphabet.DNA)
     if len(doc) != 1:
         raise RecordCountError(f"predict needs exactly 1 record, found {len(doc)}")
+    config = PipelineConfig(
+        gc_threshold=args.threshold,
+        dna_scheme=scheme,
+        allow_partial=args.allow_partial,
+        homolog_prefix_cap=args.prefix_cap,
+    )
     report = predict(store, db, doc[0], args.gene, config)
     _emit(report_to_dict(report), render_text(report), args.output)
     return 0

@@ -6,7 +6,6 @@ the sequence length but never toward the numerator or the denominator.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +44,7 @@ def composition(seq: Sequence) -> CompositionReport:
     if seq.alphabet is not Alphabet.DNA:
         raise ValueError(f"composition requires a DNA sequence, got {seq.alphabet.value}")
 
-    tally = Counter(seq.residues)
+    tally = seq.residue_counts
     counts = {base: tally.get(base, 0) for base in "ACGTN"}
     determined = counts["A"] + counts["C"] + counts["G"] + counts["T"]
     if determined == 0:
@@ -65,6 +64,12 @@ def composition(seq: Sequence) -> CompositionReport:
     )
 
 
+def check_threshold(threshold_percent: float) -> None:
+    """Raise ValueError unless a GC threshold lies within [0, 100]."""
+    if not 0.0 <= threshold_percent <= 100.0:
+        raise ValueError(f"threshold must be within [0, 100], got {threshold_percent}")
+
+
 def reference_gate(
     report: CompositionReport,
     threshold_percent: float = DEFAULT_GC_THRESHOLD,
@@ -74,8 +79,7 @@ def reference_gate(
     The boundary is inclusive: a report at exactly ``threshold_percent``
     is accepted.
     """
-    if not 0.0 <= threshold_percent <= 100.0:
-        raise ValueError(f"threshold must be within [0, 100], got {threshold_percent}")
+    check_threshold(threshold_percent)
     if report.gc_percent >= threshold_percent:
         return GateDecision.ACCEPT
     return GateDecision.REJECT

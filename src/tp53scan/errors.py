@@ -67,6 +67,10 @@ class EmptyInputError(ScanError):
     pass
 
 
+class AlignmentTooLargeError(ScanError):
+    """The alignment band would need more cells than the fixed limit."""
+
+
 # --- translation
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .alignment import DNA_SCHEME, GAP, ScoringScheme, align_global
+from .alignment import DNA_SCHEME, GAP, AlignmentResult, ScoringScheme, align_global
 from .seqio import Sequence
 from .translation import STANDARD_TABLE, CodonTable, aa_for
 
@@ -104,6 +104,7 @@ def call_mutations(
     subj_cds: Sequence,
     scheme: ScoringScheme = DNA_SCHEME,
     table: CodonTable = STANDARD_TABLE,
+    alignment: AlignmentResult | None = None,
 ) -> MutationCallSet:
     """Align subject against reference and report per-codon substitutions.
 
@@ -113,8 +114,23 @@ def call_mutations(
     the call (the indel flag still records that something happened).
     Substitutions in a trailing partial codon are dropped, mirroring how
     translation ignores trailing residues.
+
+    ``alignment``, when given, is used instead of aligning again: it must
+    pair ``ref_cds`` (first row) with ``subj_cds`` (second row), as
+    ``align_global(ref_cds, subj_cds, scheme)`` would.
+
+    Raises:
+        ValueError: ``alignment`` is not of these two sequences.
     """
-    result = align_global(ref_cds, subj_cds, scheme)
+    if alignment is None:
+        result = align_global(ref_cds, subj_cds, scheme)
+    elif (
+        alignment.degapped_a() != ref_cds.residues
+        or alignment.degapped_b() != subj_cds.residues
+    ):
+        raise ValueError("alignment does not pair this reference with this subject")
+    else:
+        result = alignment
 
     has_indel = False
     dirty: set[int] = set()  # codon numbers compromised by a gap column

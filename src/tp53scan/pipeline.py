@@ -20,6 +20,7 @@ from .composition import (
     DEFAULT_GC_THRESHOLD,
     CompositionReport,
     GateDecision,
+    check_threshold,
     composition,
     reference_gate,
 )
@@ -32,7 +33,13 @@ from .errors import (
 )
 from .mutcall import MutationCallSet, MutationKind, call_mutations, protein_differs
 from .mutdb import AnnotationResult, Database, classify
-from .refstore import DEFAULT_PREFIX_CAP, ReferenceEntry, ReferenceStore, best_homolog
+from .refstore import (
+    DEFAULT_PREFIX_CAP,
+    RankedCandidate,
+    ReferenceEntry,
+    ReferenceStore,
+    best_homolog,
+)
 from .seqio import Alphabet, Sequence
 
 TOOL_VERSION = "0.1.0"
@@ -124,6 +131,9 @@ class PipelineConfig:
     allow_partial: bool = False
     homolog_prefix_cap: int = DEFAULT_PREFIX_CAP
 
+    def __post_init__(self) -> None:
+        check_threshold(self.gc_threshold)
+
 
 def _frame_check(subject: Sequence, allow_partial: bool) -> Sequence:
     if len(subject) < 3:
@@ -167,6 +177,9 @@ def predict(
     looked up in the database. Every non-silent change is classified
     (no early exit), so the report's annotations merge all hits.
 
+    Each candidate is aligned once, while ranking; the accepted one's
+    alignment is reused for calling.
+
     Raises:
         NoReferenceAcceptedError: every candidate failed the GC gate.
         NotInFrameError: subject length is not a codon multiple and
@@ -184,25 +197,33 @@ def predict(
         prefix_cap=config.homolog_prefix_cap,
     )
     trace: list[GateAttempt] = []
-    reference: ReferenceEntry | None = None
+    accepted: RankedCandidate | None = None
     gc_report: CompositionReport | None = None
-    for entry in candidates:
-        report = composition(entry.sequence)
+    for candidate in candidates:
+        report = composition(candidate.entry.sequence)
         decision = reference_gate(report, config.gc_threshold)
         trace.append(
             GateAttempt(
-                source=entry.source,
+                source=candidate.entry.source,
                 gc_percent=report.gc_percent,
                 decision=decision,
             )
         )
         if decision is GateDecision.ACCEPT:
-            reference, gc_report = entry, report
+            accepted, gc_report = candidate, report
             break
-    if reference is None or gc_report is None:
+    if accepted is None or gc_report is None:
         raise NoReferenceAcceptedError(tuple(trace))
 
-    calls = call_mutations(reference.sequence, subject_used, config.dna_scheme)
+    # ranking already aligned the reference against the whole subject,
+    # unless the prefix cap cut one of them
+    reference = accepted.entry
+    calls = call_mutations(
+        reference.sequence,
+        subject_used,
+        config.dna_scheme,
+        alignment=accepted.alignment if accepted.full_length else None,
+    )
 
     annotations: AnnotationResult | None = None
     if calls.dna_identical:

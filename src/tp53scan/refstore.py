@@ -3,7 +3,8 @@
 Stands in for a remote homology search: FASTA files under one directory
 plus a ``manifest.tsv`` naming each entry's file, gene, source label and
 fallback priority. Candidates for a gene are ranked by alignment score
-against the query, best first, with priority breaking ties.
+against the query, best first, with priority breaking ties. Each ranked
+candidate keeps its alignment, so calling can reuse it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alignment import DNA_SCHEME, ScoringScheme, align_global
+from .alignment import DNA_SCHEME, AlignmentResult, ScoringScheme, align_global
 from .errors import GeneNotFoundError, ManifestError
 from .seqio import Alphabet, Sequence, read_fasta
 
@@ -33,6 +34,20 @@ class ReferenceEntry:
             raise ValueError("gene must be non-empty")
         if not self.source.strip():
             raise ValueError("source must be non-empty")
+
+
+@dataclass(frozen=True)
+class RankedCandidate:
+    """A store entry with its ranking alignment against the query.
+
+    The alignment pairs the entry (first row) with the query (second
+    row), the orientation mutation calling uses, on prefixes of at most
+    the prefix cap. ``full_length`` is true when the cap cut neither.
+    """
+
+    entry: ReferenceEntry
+    alignment: AlignmentResult
+    full_length: bool
 
 
 @dataclass(frozen=True)
@@ -116,18 +131,26 @@ def load_store(directory: str | Path) -> ReferenceStore:
     return ReferenceStore(entries=tuple(entries))
 
 
+def _prefix(seq: Sequence, cap: int) -> Sequence:
+    if len(seq) <= cap:
+        return seq
+    return Sequence(
+        id=seq.id, description="", residues=seq.residues[:cap], alphabet=seq.alphabet
+    )
+
+
 def best_homolog(
     store: ReferenceStore,
     query: Sequence,
     gene: str,
     scheme: ScoringScheme = DNA_SCHEME,
     prefix_cap: int = DEFAULT_PREFIX_CAP,
-) -> tuple[ReferenceEntry, ...]:
+) -> tuple[RankedCandidate, ...]:
     """Rank a gene's entries by similarity to the query, best first.
 
-    Scores come from global alignment of length-capped prefixes, which
-    keeps ranking tractable for long inputs. Ties go to the lower
-    priority number; remaining ties keep manifest order.
+    Scores come from global alignment of length-capped prefixes, entry
+    against query; the score does not depend on the order. Ties go to
+    the lower priority number; remaining ties keep manifest order.
 
     Raises:
         GeneNotFoundError: the store has no entry for ``gene``.
@@ -138,21 +161,16 @@ def best_homolog(
     if not candidates:
         raise GeneNotFoundError(gene)
 
-    query_prefix = Sequence(
-        id=query.id,
-        description="",
-        residues=query.residues[:prefix_cap],
-        alphabet=Alphabet.DNA,
-    )
-    scored: list[tuple[int, ReferenceEntry]] = []
+    query_prefix = _prefix(query, prefix_cap)
+    ranked: list[RankedCandidate] = []
     for entry in candidates:
-        entry_prefix = Sequence(
-            id=entry.sequence.id,
-            description="",
-            residues=entry.sequence.residues[:prefix_cap],
-            alphabet=Alphabet.DNA,
+        entry_prefix = _prefix(entry.sequence, prefix_cap)
+        ranked.append(
+            RankedCandidate(
+                entry=entry,
+                alignment=align_global(entry_prefix, query_prefix, scheme),
+                full_length=entry_prefix is entry.sequence and query_prefix is query,
+            )
         )
-        result = align_global(query_prefix, entry_prefix, scheme)
-        scored.append((result.score, entry))
-    scored.sort(key=lambda pair: (-pair[0], pair[1].priority))
-    return tuple(entry for _, entry in scored)
+    ranked.sort(key=lambda c: (-c.alignment.score, c.entry.priority))
+    return tuple(ranked)

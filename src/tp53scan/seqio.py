@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import (
     DuplicateIdError,
@@ -48,12 +52,18 @@ class Sequence:
         if not self.residues:
             raise EmptyRecordError(self.id)
         allowed = self.alphabet.residues
-        for i, ch in enumerate(self.residues):
-            if ch not in allowed:
-                raise IllegalResidueError(self.id, i + 1, ch, self.alphabet.name)
+        if not allowed.issuperset(self.residues):
+            for i, ch in enumerate(self.residues):
+                if ch not in allowed:
+                    raise IllegalResidueError(self.id, i + 1, ch, self.alphabet.name)
 
     def __len__(self) -> int:
         return len(self.residues)
+
+    @cached_property
+    def residue_counts(self) -> Mapping[str, int]:
+        """Occurrences of each residue, tallied on first use only."""
+        return MappingProxyType(Counter(self.residues))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,23 @@
 """Shared test helpers: independent oracles and store builders.
 
-The oracles here deliberately avoid the library's own algorithms: the
-alignment oracle enumerates every monotone alignment path, and the
-query oracle is a plain linear scan with its own normalization.
+The oracles here deliberately avoid the library's own algorithms: one
+alignment oracle enumerates every monotone alignment path, the other
+fills the whole Gotoh matrix (the aligner the banded one replaced), and
+the query oracle is a plain linear scan with its own normalization.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from tp53scan.alignment import ScoringScheme
+import numpy as np
+
+from tp53scan.alignment import GAP, AlignmentResult, AlignOp, ScoringScheme
 from tp53scan.mutdb import Database, MutationRecord
 from tp53scan.refstore import ReferenceStore, load_store
 from tp53scan.seqio import Alphabet, FastaDocument, Sequence, write_fasta
+
+_NEG_INF = float("-inf")
 
 
 def oracle_best_score(a: str, b: str, scheme: ScoringScheme) -> int:
@@ -44,6 +49,138 @@ def oracle_best_score(a: str, b: str, scheme: ScoringScheme) -> int:
             push((i, j + 1, 2, acc + (ge if last == 2 else go)))
     assert best is not None
     return best
+
+
+def _fill_matrices(
+    a: str, b: str, scheme: ScoringScheme
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill the three Gotoh score matrices.
+
+    M[i, j]: best score where the last column pairs a[i-1] with b[j-1].
+    X[i, j]: last column consumes a[i-1] against a gap (Delete run).
+    Y[i, j]: last column consumes b[j-1] against a gap (Insert run).
+
+    Rows are vectorized over j. The Insert state has a within-row
+    dependency, so it is resolved with a running-maximum prefix scan:
+    Y[i, j] = open + (j-1-k)*extend + best entry at k for some k < j.
+    """
+    n, m = len(a), len(b)
+    match, mismatch = float(scheme.match), float(scheme.mismatch)
+    go, ge = float(scheme.gap_open), float(scheme.gap_extend)
+
+    mat_m = np.full((n + 1, m + 1), _NEG_INF)
+    mat_x = np.full((n + 1, m + 1), _NEG_INF)
+    mat_y = np.full((n + 1, m + 1), _NEG_INF)
+    mat_m[0, 0] = 0.0
+
+    a_codes = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    js = np.arange(m, dtype=np.float64)
+    ladder = go + ge * js  # cost of an Insert run of length j+1
+
+    def insert_row(i: int) -> None:
+        # entry points are M or X at some column k, then extend to j
+        entry = np.maximum(mat_m[i], mat_x[i]) - ge * np.arange(m + 1)
+        best = np.maximum.accumulate(entry)
+        mat_y[i, 1:] = ladder + best[:-1]
+
+    insert_row(0)
+    for i in range(1, n + 1):
+        sub = np.where(b_codes == a_codes[i - 1], match, mismatch)
+        prev = np.maximum(np.maximum(mat_m[i - 1], mat_x[i - 1]), mat_y[i - 1])
+        mat_m[i, 1:] = prev[:-1] + sub
+        mat_x[i] = np.maximum(
+            np.maximum(mat_m[i - 1], mat_y[i - 1]) + go,
+            mat_x[i - 1] + ge,
+        )
+        insert_row(i)
+    return mat_m, mat_x, mat_y
+
+
+def _traceback(
+    a: str,
+    b: str,
+    scheme: ScoringScheme,
+    mat_m: np.ndarray,
+    mat_x: np.ndarray,
+    mat_y: np.ndarray,
+) -> tuple[str, str, list[AlignOp]]:
+    """Walk one optimal path back to (0, 0).
+
+    All cell values are integer-valued floats, so exact equality against
+    candidate predecessors is safe. Preference order M > X > Y applies at
+    the end cell and at every step.
+    """
+    go, ge = float(scheme.gap_open), float(scheme.gap_extend)
+    i, j = len(a), len(b)
+
+    state = "M"
+    best = mat_m[i, j]
+    if mat_x[i, j] > best:
+        state, best = "X", mat_x[i, j]
+    if mat_y[i, j] > best:
+        state, best = "Y", mat_y[i, j]
+
+    cols_a: list[str] = []
+    cols_b: list[str] = []
+    ops: list[AlignOp] = []
+    while i > 0 or j > 0:
+        here = {"M": mat_m, "X": mat_x, "Y": mat_y}[state][i, j]
+        if state == "M":
+            cols_a.append(a[i - 1])
+            cols_b.append(b[j - 1])
+            ops.append(AlignOp.MATCH if a[i - 1] == b[j - 1] else AlignOp.MISMATCH)
+            sub = float(scheme.match if a[i - 1] == b[j - 1] else scheme.mismatch)
+            i, j = i - 1, j - 1
+            if mat_m[i, j] + sub == here:
+                state = "M"
+            elif mat_x[i, j] + sub == here:
+                state = "X"
+            else:
+                state = "Y"
+        elif state == "X":
+            cols_a.append(a[i - 1])
+            cols_b.append(GAP)
+            ops.append(AlignOp.DELETE)
+            i -= 1
+            if mat_m[i, j] + go == here:
+                state = "M"
+            elif mat_x[i, j] + ge == here:
+                state = "X"
+            else:
+                state = "Y"
+        else:
+            cols_a.append(GAP)
+            cols_b.append(b[j - 1])
+            ops.append(AlignOp.INSERT)
+            j -= 1
+            if mat_m[i, j] + go == here:
+                state = "M"
+            elif mat_x[i, j] + go == here:
+                state = "X"
+            else:
+                state = "Y"
+    cols_a.reverse()
+    cols_b.reverse()
+    ops.reverse()
+    return "".join(cols_a), "".join(cols_b), ops
+
+
+def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> AlignmentResult:
+    """The optimal alignment the full-matrix Gotoh DP picks (M > X > Y ties)."""
+    mat_m, mat_x, mat_y = _fill_matrices(a, b, scheme)
+    n, m = len(a), len(b)
+    score = max(mat_m[n, m], mat_x[n, m], mat_y[n, m])
+    aligned_a, aligned_b, ops = _traceback(a, b, scheme, mat_m, mat_x, mat_y)
+    runs: list[tuple[AlignOp, int]] = []
+    for op in ops:
+        if runs and runs[-1][0] is op:
+            runs[-1] = (op, runs[-1][1] + 1)
+        else:
+            runs.append((op, 1))
+    return AlignmentResult(
+        aligned_a=aligned_a, aligned_b=aligned_b, score=int(score), ops=tuple(runs)
+    )
 
 
 def rescore_alignment(aligned_a: str, aligned_b: str, scheme: ScoringScheme) -> int:

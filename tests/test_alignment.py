@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tp53scan import alignment
 from tp53scan.alignment import (
     DNA_SCHEME,
     PROTEIN_SCHEME,
@@ -13,10 +18,10 @@ from tp53scan.alignment import (
     align_global,
     identity_percent,
 )
-from tp53scan.errors import AlphabetMismatchError
+from tp53scan.errors import AlignmentTooLargeError, AlphabetMismatchError
 from tp53scan.seqio import Alphabet, Sequence
 
-from support import dna, oracle_best_score, rescore_alignment
+from support import dna, oracle_best_score, oracle_full_alignment, rescore_alignment
 
 
 def protein(residues: str, seq_id: str = "p") -> Sequence:
@@ -67,6 +72,17 @@ class TestAlignmentResultValidation:
             AlignmentResult(
                 "AA", "AA", 4, ((AlignOp.MATCH, 1), (AlignOp.MATCH, 1))
             )
+
+    def test_first_bad_column_is_named(self):
+        # the bulk check fails on the run; the message names its first bad column
+        ops = ((AlignOp.MATCH, 500), (AlignOp.MISMATCH, 3))
+        with pytest.raises(ValueError, match=r"op Mismatch disagrees with column 'T'/'T'"):
+            AlignmentResult("A" * 500 + "CTG", "A" * 500 + "GTA", 0, ops)
+        ops = ((AlignOp.MATCH, 2), (AlignOp.INSERT, 2))
+        with pytest.raises(ValueError, match="column with a gap in both rows"):
+            AlignmentResult("AC--", "AC-G", 0, ops)
+        with pytest.raises(ValueError, match=r"op Insert disagrees with column 'G'/'T'"):
+            AlignmentResult("AC-G", "ACTT", 0, ops)
 
 
 def test_identity_alignment():
@@ -214,3 +230,113 @@ def test_gap_free_dominance_on_single_substitution(base: str, pos: int, repl: st
 def test_identity_percent_range(a: str, b: str):
     r = align_global(dna(a, "a"), dna(b, "b"), DNA_SCHEME)
     assert 0.0 <= identity_percent(r) <= 100.0
+
+
+# --- exactness of the banded fill against the full-matrix oracle
+
+
+def _same_as_oracle(a: Sequence, b: Sequence, scheme: ScoringScheme) -> None:
+    got = align_global(a, b, scheme)
+    want = oracle_full_alignment(a.residues, b.residues, scheme)
+    assert (got.aligned_a, got.aligned_b, got.ops, got.score) == (
+        want.aligned_a,
+        want.aligned_b,
+        want.ops,
+        want.score,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.text(alphabet="ACGTN", min_size=1, max_size=40),
+    b=st.text(alphabet="ACGTN", min_size=1, max_size=40),
+    scheme=_schemes(),
+    start=st.sampled_from([1, 2, 16]),
+)
+# an optimal path leaves the first band with a score equal to its bound:
+# accepting that band would pick another of the tied alignments
+@example(a="CTTCTA", b="CTTAAC", scheme=ScoringScheme(4, -4, -2, -2), start=1)
+def test_band_matches_full_matrix_dna(a: str, b: str, scheme: ScoringScheme, start: int):
+    # a start slack of 1 or 2 makes short inputs grow the band
+    with mock.patch.object(alignment, "_START_SLACK", start):
+        _same_as_oracle(dna(a, "a"), dna(b, "b"), scheme)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX*", min_size=1, max_size=40),
+    b=st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX*", min_size=1, max_size=40),
+    scheme=_schemes(),
+    start=st.sampled_from([1, 2, 16]),
+)
+def test_band_matches_full_matrix_protein(
+    a: str, b: str, scheme: ScoringScheme, start: int
+):
+    with mock.patch.object(alignment, "_START_SLACK", start):
+        _same_as_oracle(protein(a, "a"), protein(b, "b"), scheme)
+
+
+@st.composite
+def _near_diagonal_pairs(draw) -> tuple[str, str]:
+    """A 1-3 kb sequence and a copy with 0-20 substitutions and 0-3 indels."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = rng.choices("ACGT", k=draw(st.integers(1000, 3000)))
+    other = list(base)
+    for _ in range(draw(st.integers(0, 20))):
+        other[rng.randrange(len(other))] = rng.choice("ACGT")
+    for _ in range(draw(st.integers(0, 3))):
+        pos = rng.randrange(len(other))
+        size = draw(st.integers(1, 300))
+        if draw(st.booleans()):
+            other[pos:pos] = rng.choices("ACGT", k=size)
+        else:
+            del other[pos : pos + size]
+    return "".join(base), "".join(other) or "A"
+
+
+@settings(max_examples=8, deadline=None)
+@given(pair=_near_diagonal_pairs())
+def test_band_matches_full_matrix_near_diagonal(pair: tuple[str, str]):
+    a, b = pair
+    _same_as_oracle(dna(a, "a"), dna(b, "b"), DNA_SCHEME)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    unit=st.sampled_from(["A", "AC", "AAC", "ACGT"]),
+    n=st.integers(1, 120),
+    m=st.integers(1, 120),
+    scheme=_schemes(),
+)
+def test_band_matches_full_matrix_low_complexity(
+    unit: str, n: int, m: int, scheme: ScoringScheme
+):
+    # repeats admit many optimal paths; the band must pick the same one
+    a, b = (unit * n)[:n], (unit * m)[:m]
+    with mock.patch.object(alignment, "_START_SLACK", 1):
+        _same_as_oracle(dna(a, "a"), dna(b, "b"), scheme)
+
+
+def test_band_memory_is_linear_in_length(reference_cds, subject_r248w):
+    # a full 1179 x 1179 fill holds 3 float64 matrices, about 32 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        align_global(reference_cds, subject_r248w, DNA_SCHEME)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * 1024 * 1024
+
+
+def test_oversized_band_raises_named_error(monkeypatch):
+    monkeypatch.setattr(alignment, "MAX_BAND_CELLS", 1000)
+    with pytest.raises(AlignmentTooLargeError):
+        align_global(dna("ACGT" * 100, "a"), dna("TGCA" * 100, "b"), DNA_SCHEME)
+    # a band that fits still aligns
+    assert align_global(dna("ACGT", "a"), dna("ACGT", "b"), DNA_SCHEME).score == 8
+
+
+def test_cell_limit_admits_full_width_5000():
+    assert (5000 + 1) * (5000 + 1 + 2) <= alignment.MAX_BAND_CELLS

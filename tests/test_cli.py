@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import tp53scan.cli
+import tp53scan.mutcall
+import tp53scan.refstore
 from tp53scan.cli import main, run
 from tp53scan.datafiles import (
     bundled_db_path,
@@ -245,6 +247,20 @@ def test_predict_unknown_gene(capsys):
 def test_predict_threshold_validated(capsys):
     assert run(["predict", SUBJECT, "--threshold", "150"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_predict_threshold_checked_before_any_alignment(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no alignment expected")
+
+    monkeypatch.setattr(tp53scan.refstore, "align_global", counted)
+    monkeypatch.setattr(tp53scan.mutcall, "align_global", counted)
+    assert run(["predict", SUBJECT, "--threshold", "150"]) == 2
+    assert "threshold must be within [0, 100], got 150.0" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_usage_errors_exit_2(capsys):

@@ -86,6 +86,12 @@ def test_gate_threshold_validated():
         reference_gate(report, -0.1)
 
 
+def test_counts_are_tallied_once_per_sequence():
+    seq = dna("ACGTN" * 10)
+    assert composition(seq) == composition(seq)
+    assert seq.residue_counts is seq.residue_counts
+
+
 _DNA_TEXT = st.text(alphabet="ACGT", min_size=1, max_size=300)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tp53scan.alignment import DNA_SCHEME, align_global
 from tp53scan.mutcall import (
     CodonMutation,
     MutationCallSet,
@@ -27,6 +28,19 @@ def test_worked_example_r248w(reference_cds, subject_r248w):
     assert (m.ref_codon, m.alt_codon) == ("CGG", "TGG")
     assert (m.ref_aa, m.alt_aa) == ("R", "W")
     assert m.kind is MutationKind.MISSENSE
+
+
+def test_given_alignment_is_used_as_is(reference_cds, subject_r248w):
+    aligned = align_global(reference_cds, subject_r248w, DNA_SCHEME)
+    assert call_mutations(reference_cds, subject_r248w, alignment=aligned) == (
+        call_mutations(reference_cds, subject_r248w)
+    )
+    swapped = align_global(subject_r248w, reference_cds, DNA_SCHEME)
+    other = dna(subject_r248w.residues[:-3], "short")
+    with pytest.raises(ValueError):
+        call_mutations(reference_cds, other, alignment=aligned)
+    with pytest.raises(ValueError):
+        call_mutations(reference_cds, subject_r248w, alignment=swapped)
 
 
 def test_identity_fast_path(reference_cds):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tp53scan.composition import GateDecision, composition
+from tp53scan import mutcall, refstore
+from tp53scan.composition import GateDecision, composition, reference_gate
 from tp53scan.errors import (
     NoReferenceAcceptedError,
     NotInFrameError,
@@ -143,6 +144,44 @@ def test_gc_threshold_config_is_honored(tmp_path, db):
     strict = PipelineConfig(gc_threshold=90.0)
     with pytest.raises(NoReferenceAcceptedError):
         predict(store, db, dna(GC_RICH_REF, "subj"), "TP53", strict)
+
+
+def test_config_shares_the_gate_threshold_check():
+    report = composition(dna("ACGT"))
+    for bad in (100.5, -0.1, float("nan")):
+        with pytest.raises(ValueError) as gate_error:
+            reference_gate(report, bad)
+        with pytest.raises(ValueError) as config_error:
+            PipelineConfig(gc_threshold=bad)
+        assert str(config_error.value) == str(gate_error.value)
+
+
+def _count_alignments(monkeypatch) -> list[str]:
+    """Record which module each align_global call goes through."""
+    calls: list[str] = []
+    for module in (refstore, mutcall):
+        original = module.align_global
+
+        def counted(*args, _name=module.__name__, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, "align_global", counted)
+    return calls
+
+
+def test_each_candidate_is_aligned_once(monkeypatch, store, db, subject_r248w):
+    calls = _count_alignments(monkeypatch)
+    report = predict(store, db, subject_r248w, "TP53")
+    assert calls == ["tp53scan.refstore"] * len(store.entries_for("TP53"))
+    assert [m.codon_number for m in report.verdict.mutations.mutations] == [248]
+
+
+def test_capped_ranking_realigns_for_calling(monkeypatch, store, db, subject_r248w):
+    calls = _count_alignments(monkeypatch)
+    capped = predict(store, db, subject_r248w, "TP53", PipelineConfig(homolog_prefix_cap=600))
+    assert calls == ["tp53scan.refstore"] * 2 + ["tp53scan.mutcall"]
+    assert capped.verdict.mutations == predict(store, db, subject_r248w, "TP53").verdict.mutations
 
 
 def test_repeat_runs_agree(store, db, subject_r248w):

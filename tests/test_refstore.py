@@ -120,7 +120,7 @@ def test_best_match_ranks_first(tmp_path):
         [("TP53", "far", 1, dna(far, "far")), ("TP53", "near", 2, dna(near, "near"))],
     )
     ranked = best_homolog(store, dna(near, "q"), "TP53")
-    assert [e.source for e in ranked] == ["near", "far"]
+    assert [c.entry.source for c in ranked] == ["near", "far"]
 
 
 def test_priority_breaks_score_ties(tmp_path):
@@ -133,7 +133,7 @@ def test_priority_breaks_score_ties(tmp_path):
         ],
     )
     ranked = best_homolog(store, dna(seq, "q"), "TP53")
-    assert [e.source for e in ranked] == ["primary", "backup"]
+    assert [c.entry.source for c in ranked] == ["primary", "backup"]
 
 
 def test_manifest_order_breaks_remaining_ties(tmp_path):
@@ -143,14 +143,14 @@ def test_manifest_order_breaks_remaining_ties(tmp_path):
         [("TP53", "first", 1, dna(seq, "a")), ("TP53", "second", 1, dna(seq, "b"))],
     )
     ranked = best_homolog(store, dna(seq, "q"), "TP53")
-    assert [e.source for e in ranked] == ["first", "second"]
+    assert [c.entry.source for c in ranked] == ["first", "second"]
 
 
 def test_ranking_is_deterministic(store, subject_r248w):
     once = best_homolog(store, subject_r248w, "TP53")
     again = best_homolog(store, subject_r248w, "TP53")
     assert once == again
-    assert [e.source for e in once] == ["ncbi-export", "ebi-export"]
+    assert [c.entry.source for c in once] == ["ncbi-export", "ebi-export"]
 
 
 def test_prefix_cap_limits_comparison(tmp_path):
@@ -166,9 +166,9 @@ def test_prefix_cap_limits_comparison(tmp_path):
     )
     query = dna(head + "ACGACG", "q")
     capped = best_homolog(store, query, "TP53", prefix_cap=len(head))
-    assert [e.source for e in capped] == ["tail-match", "tail-mismatch"]
+    assert [c.entry.source for c in capped] == ["tail-match", "tail-mismatch"]
     full = best_homolog(store, query, "TP53", prefix_cap=DEFAULT_PREFIX_CAP)
-    assert full[0].source == "tail-match"
+    assert full[0].entry.source == "tail-match"
 
 
 def test_prefix_cap_validated(store, subject_r248w):
@@ -187,8 +187,8 @@ def test_rank_scores_are_monotone(store, homolog):
         id=s.id, description="", residues=s.residues[:400], alphabet=Alphabet.DNA
     )
     scores = [
-        align_global(prefix(homolog), prefix(e.sequence), DNA_SCHEME).score
-        for e in ranked
+        align_global(prefix(homolog), prefix(c.entry.sequence), DNA_SCHEME).score
+        for c in ranked
     ]
     assert scores == sorted(scores, reverse=True)
 

@@ -63,6 +63,15 @@ def test_illegal_residue_position_is_concatenated_and_one_based():
     assert exc.value.residue == "Q"
 
 
+def test_illegal_residue_at_last_position():
+    residues = "ACGT" * 300 + "U"
+    with pytest.raises(IllegalResidueError) as exc:
+        Sequence("s", "", residues, Alphabet.DNA)
+    assert exc.value.position == len(residues)
+    assert exc.value.residue == "U"
+    assert str(exc.value) == f"record 's': illegal DNA residue 'U' at position {len(residues)}"
+
+
 def test_illegal_residue_position_spans_folded_lines():
     # 4 residues on the first line, offender is 2nd char of the second
     with pytest.raises(IllegalResidueError) as exc:
