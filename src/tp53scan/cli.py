@@ -27,7 +27,7 @@ from .errors import RecordCountError, ScanError
 from .mutcall import MutationCallSet, call_mutations
 from .mutdb import FilterQuery, load_db, query
 from .pipeline import PipelineConfig, predict, render_text, report_to_dict
-from .refstore import DEFAULT_PREFIX_CAP, load_store
+from .refstore import load_store
 from .seqio import Alphabet, FastaDocument, read_fasta, write_fasta
 from .translation import translate
 
@@ -169,7 +169,7 @@ def _cmd_call(args: argparse.Namespace) -> int:
     scheme = _scheme_from_args(args, DNA_SCHEME)
     ref = read_fasta(args.ref_fasta, Alphabet.DNA)[0]
     subj = read_fasta(args.subj_fasta, Alphabet.DNA)[0]
-    calls = call_mutations(ref, subj, scheme)
+    calls = call_mutations(align_global(ref, subj, scheme))
     payload = {"reference": ref.id, "subject": subj.id, **to_dict(calls)}
     _emit(payload, _callset_text(ref.id, subj.id, calls), args.output)
     return 0
@@ -202,7 +202,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         gc_threshold=args.threshold,
         dna_scheme=scheme,
         allow_partial=args.allow_partial,
-        homolog_prefix_cap=args.prefix_cap,
     )
     report = predict(store, db, doc[0], args.gene, config)
     _emit(report_to_dict(report), render_text(report), args.output)
@@ -320,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument(
         "--allow-partial", action="store_true",
         help="truncate a subject whose length is not a codon multiple",
-    )
-    p_pred.add_argument(
-        "--prefix-cap", type=int, default=DEFAULT_PREFIX_CAP,
-        help=f"prefix length for homolog ranking (default: {DEFAULT_PREFIX_CAP})",
     )
     _add_scheme_flags(p_pred)
     _add_output_flag(p_pred)

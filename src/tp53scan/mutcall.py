@@ -11,9 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .alignment import DNA_SCHEME, GAP, AlignmentResult, ScoringScheme, align_global
-from .seqio import Sequence
+from .alignment import GAP, AlignmentResult
+from .seqio import DNA_RESIDUES
 from .translation import STANDARD_TABLE, CodonTable, aa_for
+
+# Re-exported only for bench/tracer.py, which patches align_global by name
+# in this module; the in-library tracer (ROADMAP item 4) removes the need.
+# Calling itself never aligns.
+from .alignment import align_global  # noqa: F401
 
 
 class MutationKind(Enum):
@@ -34,6 +39,12 @@ def classify_kind(ref_aa: str, alt_aa: str) -> MutationKind:
     return MutationKind.MISSENSE
 
 
+def check_codon(name: str, codon: str) -> None:
+    """The codon rule shared by every record type: three DNA letters."""
+    if len(codon) != 3 or not DNA_RESIDUES.issuperset(codon):
+        raise ValueError(f"{name} must be a 3-letter DNA codon, got {codon!r}")
+
+
 @dataclass(frozen=True)
 class CodonMutation:
     codon_number: int = field(metadata={"wire": "codon"})
@@ -46,10 +57,8 @@ class CodonMutation:
     def __post_init__(self) -> None:
         if self.codon_number < 1:
             raise ValueError(f"codon number must be >= 1, got {self.codon_number}")
-        for name in ("ref_codon", "alt_codon"):
-            codon = getattr(self, name)
-            if len(codon) != 3 or any(ch not in "ACGTN" for ch in codon):
-                raise ValueError(f"{name} must be a 3-letter DNA codon, got {codon!r}")
+        check_codon("ref_codon", self.ref_codon)
+        check_codon("alt_codon", self.alt_codon)
         if self.ref_codon == self.alt_codon:
             raise ValueError(f"codon {self.codon_number}: ref and alt codons are equal")
         if classify_kind(self.ref_aa, self.alt_aa) is not self.kind:
@@ -100,13 +109,14 @@ class MutationCallSet:
 
 
 def call_mutations(
-    ref_cds: Sequence,
-    subj_cds: Sequence,
-    scheme: ScoringScheme = DNA_SCHEME,
+    alignment: AlignmentResult,
     table: CodonTable = STANDARD_TABLE,
-    alignment: AlignmentResult | None = None,
 ) -> MutationCallSet:
-    """Align subject against reference and report per-codon substitutions.
+    """Report per-codon substitutions of a reference/subject alignment.
+
+    The first row is the reference, the second the subject, as
+    ``align_global(ref_cds, subj_cds)`` returns them; reference codons
+    are read from the degapped first row.
 
     A codon is reported only when its three reference bases survive the
     alignment without an interrupting gap column: a Delete inside the
@@ -114,29 +124,12 @@ def call_mutations(
     the call (the indel flag still records that something happened).
     Substitutions in a trailing partial codon are dropped, mirroring how
     translation ignores trailing residues.
-
-    ``alignment``, when given, is used instead of aligning again: it must
-    pair ``ref_cds`` (first row) with ``subj_cds`` (second row), as
-    ``align_global(ref_cds, subj_cds, scheme)`` would.
-
-    Raises:
-        ValueError: ``alignment`` is not of these two sequences.
     """
-    if alignment is None:
-        result = align_global(ref_cds, subj_cds, scheme)
-    elif (
-        alignment.degapped_a() != ref_cds.residues
-        or alignment.degapped_b() != subj_cds.residues
-    ):
-        raise ValueError("alignment does not pair this reference with this subject")
-    else:
-        result = alignment
-
     has_indel = False
     dirty: set[int] = set()  # codon numbers compromised by a gap column
     subst: dict[int, str] = {}  # 1-based ref position -> subject base
     ref_pos = 0
-    for ca, cb in zip(result.aligned_a, result.aligned_b):
+    for ca, cb in zip(alignment.aligned_a, alignment.aligned_b):
         if ca == GAP:
             has_indel = True
             # insertion after ref_pos; only an off-boundary one breaks a triple
@@ -151,13 +144,14 @@ def call_mutations(
         elif ca != cb:
             subst[ref_pos] = cb
 
-    n_codons = len(ref_cds) // 3
+    ref = alignment.degapped_a()
+    n_codons = len(ref) // 3
     mutations: list[CodonMutation] = []
     for codon_no in sorted({(p + 2) // 3 for p in subst}):
         if codon_no in dirty or codon_no > n_codons:
             continue
         start = 3 * (codon_no - 1)
-        ref_codon = ref_cds.residues[start : start + 3]
+        ref_codon = ref[start : start + 3]
         alt_codon = "".join(
             subst.get(start + k + 1, ref_codon[k]) for k in range(3)
         )

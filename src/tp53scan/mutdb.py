@@ -20,12 +20,10 @@ from .errors import (
     MissingColumnError,
     UnknownFieldError,
 )
-from .mutcall import CodonMutation, MutationKind
+from .mutcall import CodonMutation, MutationKind, check_codon
 
 REQUIRED_COLUMNS = ("codon", "wt_codon", "mut_codon", "wt_aa", "mut_aa", "tumor_type")
 OPTIONAL_COLUMNS = ("record_id", "mutation_event")
-
-_CODON_LETTERS = frozenset("ACGTN")
 
 
 class WtCodonMismatchWarning(UserWarning):
@@ -51,8 +49,14 @@ class MutationRecord:
     def __post_init__(self) -> None:
         if self.codon_number < 1:
             raise ValueError(f"codon_number >= 1 violated: {self.codon_number}")
+        check_codon("wt_codon", self.wt_codon)
+        check_codon("mut_codon", self.mut_codon)
         if self.wt_codon == self.mut_codon:
             raise ValueError(f"record {self.record_id!r}: wt and mut codons are equal")
+        for name in ("wt_aa", "mut_aa"):
+            aa = getattr(self, name)
+            if len(aa) != 1:
+                raise ValueError(f"{name} must be one amino-acid letter, got {aa!r}")
 
     def field_text(self, name: str) -> str:
         """Raw text for one queryable field (codon rendered as decimal)."""
@@ -91,20 +95,6 @@ class Database:
         return self._codon_index.get(codon_number, ())
 
 
-def _parse_codon_field(raw: str, line: int, name: str) -> str:
-    value = raw.strip().upper()
-    if len(value) != 3 or any(ch not in _CODON_LETTERS for ch in value):
-        raise BadRowError(line, f"{name} must be a 3-letter DNA codon, got {raw!r}")
-    return value
-
-
-def _parse_aa_field(raw: str, line: int, name: str) -> str:
-    value = raw.strip().upper()
-    if len(value) != 1:
-        raise BadRowError(line, f"{name} must be one amino-acid letter, got {raw!r}")
-    return value
-
-
 def load_db(
     path: str | Path,
     column_map: Mapping[str, str] | None = None,
@@ -113,6 +103,9 @@ def load_db(
 
     ``column_map`` renames headers on the way in: keys are the canonical
     names above, values are whatever the file calls them.
+
+    Codon and amino-acid cells are stripped and upper-cased; the
+    record's own checks then decide whether the row is well formed.
 
     Raises:
         MissingColumnError: a required column is absent from the header.
@@ -154,13 +147,6 @@ def load_db(
             codon_number = int(raw_codon)
         except ValueError:
             raise BadRowError(line_no, f"codon {raw_codon!r} is not an integer") from None
-        if codon_number < 1:
-            raise BadRowError(line_no, "codon_number >= 1 violated")
-
-        wt_codon = _parse_codon_field(cells[positions["wt_codon"]], line_no, "wt_codon")
-        mut_codon = _parse_codon_field(cells[positions["mut_codon"]], line_no, "mut_codon")
-        if wt_codon == mut_codon:
-            raise BadRowError(line_no, "wt_codon and mut_codon are equal")
 
         record_id = (
             cells[positions["record_id"]].strip()
@@ -173,14 +159,14 @@ def load_db(
             raise BadRowError(line_no, f"duplicate record_id {record_id!r}")
         seen_ids.add(record_id)
 
-        records.append(
-            MutationRecord(
+        try:
+            record = MutationRecord(
                 record_id=record_id,
                 codon_number=codon_number,
-                wt_codon=wt_codon,
-                mut_codon=mut_codon,
-                wt_aa=_parse_aa_field(cells[positions["wt_aa"]], line_no, "wt_aa"),
-                mut_aa=_parse_aa_field(cells[positions["mut_aa"]], line_no, "mut_aa"),
+                wt_codon=cells[positions["wt_codon"]].strip().upper(),
+                mut_codon=cells[positions["mut_codon"]].strip().upper(),
+                wt_aa=cells[positions["wt_aa"]].strip().upper(),
+                mut_aa=cells[positions["mut_aa"]].strip().upper(),
                 mutation_event=(
                     cells[positions["mutation_event"]].strip()
                     if "mutation_event" in positions
@@ -189,7 +175,9 @@ def load_db(
                 tumor_type=cells[positions["tumor_type"]].strip(),
                 extra={name: cells[positions[name]].strip() for name in extra_columns},
             )
-        )
+        except ValueError as exc:
+            raise BadRowError(line_no, str(exc)) from None
+        records.append(record)
     if not records:
         raise EmptyDatabaseError(f"{path}: no data rows")
     return Database(

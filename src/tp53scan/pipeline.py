@@ -33,13 +33,7 @@ from .errors import (
 )
 from .mutcall import MutationCallSet, MutationKind, call_mutations, protein_differs
 from .mutdb import AnnotationResult, Database, classify
-from .refstore import (
-    DEFAULT_PREFIX_CAP,
-    RankedCandidate,
-    ReferenceEntry,
-    ReferenceStore,
-    best_homolog,
-)
+from .refstore import RankedCandidate, ReferenceEntry, ReferenceStore, best_homolog
 from .seqio import Alphabet, Sequence
 
 TOOL_VERSION = "0.1.0"
@@ -129,7 +123,6 @@ class PipelineConfig:
     gc_threshold: float = DEFAULT_GC_THRESHOLD
     dna_scheme: ScoringScheme = field(default_factory=lambda: DNA_SCHEME)
     allow_partial: bool = False
-    homolog_prefix_cap: int = DEFAULT_PREFIX_CAP
 
     def __post_init__(self) -> None:
         check_threshold(self.gc_threshold)
@@ -177,8 +170,8 @@ def predict(
     looked up in the database. Every non-silent change is classified
     (no early exit), so the report's annotations merge all hits.
 
-    Each candidate is aligned once, while ranking; the accepted one's
-    alignment is reused for calling.
+    Each candidate is aligned once, while ranking; mutations are called
+    from the accepted one's alignment.
 
     Raises:
         NoReferenceAcceptedError: every candidate failed the GC gate.
@@ -189,13 +182,7 @@ def predict(
         raise ValueError(f"subject must be DNA, got {subject.alphabet.value}")
     subject_used = _frame_check(subject, config.allow_partial)
 
-    candidates = best_homolog(
-        store,
-        subject_used,
-        gene,
-        scheme=config.dna_scheme,
-        prefix_cap=config.homolog_prefix_cap,
-    )
+    candidates = best_homolog(store, subject_used, gene, scheme=config.dna_scheme)
     trace: list[GateAttempt] = []
     accepted: RankedCandidate | None = None
     gc_report: CompositionReport | None = None
@@ -215,15 +202,7 @@ def predict(
     if accepted is None or gc_report is None:
         raise NoReferenceAcceptedError(tuple(trace))
 
-    # ranking already aligned the reference against the whole subject,
-    # unless the prefix cap cut one of them
-    reference = accepted.entry
-    calls = call_mutations(
-        reference.sequence,
-        subject_used,
-        config.dna_scheme,
-        alignment=accepted.alignment if accepted.full_length else None,
-    )
+    calls = call_mutations(accepted.alignment)
 
     annotations: AnnotationResult | None = None
     if calls.dna_identical:
@@ -250,7 +229,7 @@ def predict(
         kind=kind,
         mutations=calls,
         annotations=annotations,
-        reference_used=ReferenceDescriptor.from_entry(reference),
+        reference_used=ReferenceDescriptor.from_entry(accepted.entry),
         gc_report=gc_report,
         gate_trace=tuple(trace),
     )

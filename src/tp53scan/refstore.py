@@ -19,8 +19,6 @@ from .seqio import Alphabet, Sequence, read_fasta
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_COLUMNS = ("file", "gene", "source", "priority")
 
-DEFAULT_PREFIX_CAP = 5000
-
 
 @dataclass(frozen=True)
 class ReferenceEntry:
@@ -40,14 +38,12 @@ class ReferenceEntry:
 class RankedCandidate:
     """A store entry with its ranking alignment against the query.
 
-    The alignment pairs the entry (first row) with the query (second
-    row), the orientation mutation calling uses, on prefixes of at most
-    the prefix cap. ``full_length`` is true when the cap cut neither.
+    The alignment pairs the whole entry (first row) with the whole
+    query (second row), the orientation mutation calling uses.
     """
 
     entry: ReferenceEntry
     alignment: AlignmentResult
-    full_length: bool
 
 
 @dataclass(frozen=True)
@@ -131,46 +127,29 @@ def load_store(directory: str | Path) -> ReferenceStore:
     return ReferenceStore(entries=tuple(entries))
 
 
-def _prefix(seq: Sequence, cap: int) -> Sequence:
-    if len(seq) <= cap:
-        return seq
-    return Sequence(
-        id=seq.id, description="", residues=seq.residues[:cap], alphabet=seq.alphabet
-    )
-
-
 def best_homolog(
     store: ReferenceStore,
     query: Sequence,
     gene: str,
     scheme: ScoringScheme = DNA_SCHEME,
-    prefix_cap: int = DEFAULT_PREFIX_CAP,
 ) -> tuple[RankedCandidate, ...]:
     """Rank a gene's entries by similarity to the query, best first.
 
-    Scores come from global alignment of length-capped prefixes, entry
-    against query; the score does not depend on the order. Ties go to
-    the lower priority number; remaining ties keep manifest order.
+    Scores come from global alignment of each whole entry against the
+    whole query; the score does not depend on the order. Ties go to the
+    lower priority number; remaining ties keep manifest order.
 
     Raises:
         GeneNotFoundError: the store has no entry for ``gene``.
+        AlignmentTooLargeError: an entry/query band exceeds the cell cap.
     """
-    if prefix_cap < 1:
-        raise ValueError(f"prefix cap must be >= 1, got {prefix_cap}")
     candidates = store.entries_for(gene)
     if not candidates:
         raise GeneNotFoundError(gene)
 
-    query_prefix = _prefix(query, prefix_cap)
-    ranked: list[RankedCandidate] = []
-    for entry in candidates:
-        entry_prefix = _prefix(entry.sequence, prefix_cap)
-        ranked.append(
-            RankedCandidate(
-                entry=entry,
-                alignment=align_global(entry_prefix, query_prefix, scheme),
-                full_length=entry_prefix is entry.sequence and query_prefix is query,
-            )
-        )
+    ranked = [
+        RankedCandidate(entry, align_global(entry.sequence, query, scheme))
+        for entry in candidates
+    ]
     ranked.sort(key=lambda c: (-c.alignment.score, c.entry.priority))
     return tuple(ranked)

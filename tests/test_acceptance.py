@@ -20,7 +20,7 @@ from tp53scan.composition import GateDecision, composition, reference_gate
 from tp53scan.errors import NoReferenceAcceptedError
 from tp53scan.mutcall import MutationKind
 from tp53scan.mutdb import FilterQuery, query
-from tp53scan.pipeline import PipelineConfig, VerdictKind, predict
+from tp53scan.pipeline import VerdictKind, predict
 from tp53scan.seqio import Alphabet, FastaDocument, Sequence, parse_fasta, write_fasta
 from tp53scan.translation import aa_for
 
@@ -185,7 +185,6 @@ def test_criterion_6_verdict_soundness(tmp_path, db, reference_cds):
     store = write_store(
         tmp_path / "store", [("TP53", "ncbi-export", 1, reference_cds)]
     )
-    config = PipelineConfig(homolog_prefix_cap=120)
     ref = reference_cds.residues
     n_codons = len(ref) // 3
     rng = random.Random(SEED)
@@ -205,7 +204,7 @@ def test_criterion_6_verdict_soundness(tmp_path, db, reference_cds):
             residues[start : start + 3] = alt
         subject = dna("".join(residues), f"subj_{trial}")
 
-        report = predict(store, db, subject, "TP53", config)
+        report = predict(store, db, subject, "TP53")
         v = report.verdict
         calls = v.mutations
         seen_verdicts.add(v.kind)

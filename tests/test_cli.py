@@ -249,6 +249,11 @@ def test_predict_threshold_validated(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_predict_rejects_the_removed_cap_flag(capsys):
+    assert run(["predict", SUBJECT, "--prefix-cap", "10"]) == 2
+    assert "unrecognized arguments: --prefix-cap" in capsys.readouterr().err
+
+
 def test_predict_threshold_checked_before_any_alignment(monkeypatch, capsys):
     calls = []
 

@@ -78,6 +78,16 @@ MAP_FIELDS = {"counts", "extra"}
 
 WRONG_VALUES = ("248", 248, 2.5, True, None, [], {})
 
+# values of the right JSON type that break the rule of the field they sit in
+BAD_VALUES = {
+    "ref_codon": "xyz",
+    "alt_codon": "xyz",
+    "wt_codon": "xyz",
+    "mut_codon": "xyz",
+    "wt_aa": "hello",
+    "mut_aa": "hello",
+}
+
 
 def key_tree(node):
     if isinstance(node, dict):
@@ -144,6 +154,9 @@ def test_malformed_payloads_raise_report_format_error(bundled_payload):
                 (path, wrong, edited(bundled_payload, path, wrong))
                 for wrong in wrong_values_for(value)
             ]
+        if path[-1] in BAD_VALUES and not in_map:
+            bad = BAD_VALUES[path[-1]]
+            cases.append((path, bad, edited(bundled_payload, path, bad)))
     assert len(cases) > 500
     escaped = []
     for path, change, payload in cases:
@@ -167,6 +180,16 @@ def test_malformed_payloads_raise_report_format_error(bundled_payload):
         (("verdict", "mutations", "calls", 0, "codon"), 0, "codon number"),
         (("verdict", "annotations", "distinct_tumor_types"), [], "sorted tumor-type"),
         (("verdict", "mutations", "calls", 0, "codon"), "248", "expected int, got str"),
+        (
+            ("verdict", "annotations", "matches", 0, "wt_codon"),
+            "xyz",
+            r"annotations\.matches\[0\]: wt_codon must be a 3-letter DNA codon",
+        ),
+        (
+            ("verdict", "annotations", "matches", 0, "wt_aa"),
+            "hello",
+            r"annotations\.matches\[0\]: wt_aa must be one amino-acid letter",
+        ),
     ],
 )
 def test_bad_values_name_their_path(bundled_payload, path, value, message):
@@ -203,8 +226,8 @@ def mutation_records(draw):
         codon_number=draw(st.integers(min_value=1)),
         wt_codon=wt,
         mut_codon=draw(CODONS.filter(lambda c: c != wt)),
-        wt_aa=draw(st.text(max_size=1)),
-        mut_aa=draw(st.text(max_size=1)),
+        wt_aa=draw(st.text(min_size=1, max_size=1)),
+        mut_aa=draw(st.text(min_size=1, max_size=1)),
         mutation_event=draw(st.text()),
         tumor_type=draw(st.text()),
         extra=draw(st.dictionaries(st.text(), st.text(), max_size=4)),

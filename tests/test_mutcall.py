@@ -19,7 +19,7 @@ from support import dna
 
 
 def test_worked_example_r248w(reference_cds, subject_r248w):
-    calls = call_mutations(reference_cds, subject_r248w)
+    calls = call_mutations(align_global(reference_cds, subject_r248w, DNA_SCHEME))
     assert not calls.has_indel
     assert not calls.dna_identical
     assert len(calls.mutations) == 1
@@ -30,21 +30,8 @@ def test_worked_example_r248w(reference_cds, subject_r248w):
     assert m.kind is MutationKind.MISSENSE
 
 
-def test_given_alignment_is_used_as_is(reference_cds, subject_r248w):
-    aligned = align_global(reference_cds, subject_r248w, DNA_SCHEME)
-    assert call_mutations(reference_cds, subject_r248w, alignment=aligned) == (
-        call_mutations(reference_cds, subject_r248w)
-    )
-    swapped = align_global(subject_r248w, reference_cds, DNA_SCHEME)
-    other = dna(subject_r248w.residues[:-3], "short")
-    with pytest.raises(ValueError):
-        call_mutations(reference_cds, other, alignment=aligned)
-    with pytest.raises(ValueError):
-        call_mutations(reference_cds, subject_r248w, alignment=swapped)
-
-
 def test_identity_fast_path(reference_cds):
-    calls = call_mutations(reference_cds, reference_cds)
+    calls = call_mutations(align_global(reference_cds, reference_cds, DNA_SCHEME))
     assert calls.dna_identical
     assert not calls.has_indel
     assert calls.mutations == ()
@@ -53,7 +40,7 @@ def test_identity_fast_path(reference_cds):
 def test_silent_substitution():
     ref = dna("ATGAAATTTGGGCGG", "ref")
     subj = dna("ATGAAATTTGGGCGA", "subj")
-    calls = call_mutations(ref, subj)
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     assert len(calls.mutations) == 1
     m = calls.mutations[0]
     assert m.codon_number == 5
@@ -65,7 +52,7 @@ def test_silent_substitution():
 def test_nonsense_substitution():
     ref = dna("ATGAAACAG", "ref")
     subj = dna("ATGAAATAG", "subj")
-    m = call_mutations(ref, subj).mutations[0]
+    m = call_mutations(align_global(ref, subj, DNA_SCHEME)).mutations[0]
     assert m.codon_number == 3
     assert (m.ref_aa, m.alt_aa) == ("Q", "*")
     assert m.kind is MutationKind.NONSENSE
@@ -74,7 +61,7 @@ def test_nonsense_substitution():
 def test_two_base_changes_one_codon_one_call():
     ref = dna("ATGCGGAAA", "ref")
     subj = dna("ATGTAGAAA", "subj")  # codon 2 CGG>TAG, two bases changed
-    calls = call_mutations(ref, subj)
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     assert len(calls.mutations) == 1
     m = calls.mutations[0]
     assert (m.codon_number, m.ref_codon, m.alt_codon) == (2, "CGG", "TAG")
@@ -84,7 +71,7 @@ def test_two_base_changes_one_codon_one_call():
 def test_whole_codon_deletion_flagged_not_called():
     ref = dna("ATGCATGCATCACGTACT", "ref")
     subj = dna("ATGCATTCACGTACT", "subj")  # codon 3 GCA removed
-    calls = call_mutations(ref, subj)
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     assert calls.has_indel
     assert not calls.dna_identical
     assert calls.mutations == ()
@@ -95,7 +82,7 @@ def test_insertion_inside_codon_suppresses_that_codon():
     # codon 2 CAT>CGT (substitution) plus GGG inserted after ref base 10,
     # which lands between bases 1 and 2 of codon 4
     subj = dna("ATGCGTGCATGGGCACGTACT", "subj")
-    calls = call_mutations(ref, subj)
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     assert calls.has_indel
     numbers = [m.codon_number for m in calls.mutations]
     assert 2 in numbers
@@ -105,7 +92,7 @@ def test_insertion_inside_codon_suppresses_that_codon():
 def test_insertion_at_codon_boundary_keeps_neighbors_callable():
     ref = dna("ATGCATGCA", "ref")
     subj = dna("ATGCATTTTGCA", "subj")  # TTT inserted between codons 2 and 3
-    calls = call_mutations(ref, subj)
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     assert calls.has_indel
     assert calls.mutations == ()  # no substitutions anywhere
 
@@ -113,7 +100,7 @@ def test_insertion_at_codon_boundary_keeps_neighbors_callable():
 def test_trailing_partial_codon_substitution_dropped():
     ref = dna("ATGCATGC", "ref")  # 8 bases: codon 3 is incomplete
     subj = dna("ATGCATGA", "subj")
-    calls = call_mutations(ref, subj)
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     assert not calls.dna_identical
     assert calls.mutations == ()
     assert not protein_differs(calls)
@@ -132,6 +119,12 @@ def test_callset_validation():
 def test_codon_mutation_validation():
     with pytest.raises(ValueError):
         CodonMutation.from_codons(1, "CGG", "CGG")
+    for ref, alt in [("XYZ", "TGG"), ("CGG", "TG"), ("CGG", "tgg")]:
+        with pytest.raises(ValueError, match="3-letter DNA codon"):
+            CodonMutation(
+                codon_number=1, ref_codon=ref, alt_codon=alt,
+                ref_aa="R", alt_aa="W", kind=MutationKind.MISSENSE,
+            )
     with pytest.raises(ValueError):
         CodonMutation(
             codon_number=1,
@@ -152,14 +145,16 @@ def test_classify_kind_pure_function():
 
 def test_protein_differs_cases():
     ref = dna("ATGAAATTTGGGCGG", "ref")
-    silent = call_mutations(ref, dna("ATGAAATTTGGGCGA", "s1"))
+    silent = call_mutations(align_global(ref, dna("ATGAAATTTGGGCGA", "s1"), DNA_SCHEME))
     assert not protein_differs(silent)
-    missense = call_mutations(ref, dna("ATGAAATTTGGGTGG", "s2"))
+    missense = call_mutations(align_global(ref, dna("ATGAAATTTGGGTGG", "s2"), DNA_SCHEME))
     assert protein_differs(missense)
-    empty = call_mutations(ref, ref)
+    empty = call_mutations(align_global(ref, ref, DNA_SCHEME))
     assert not protein_differs(empty)
-    indel_only = call_mutations(dna("ATGCATGCATCACGTACT", "r"),
-                                dna("ATGCATTCACGTACT", "s3"))
+    indel_ref = dna("ATGCATGCATCACGTACT", "r")
+    indel_only = call_mutations(
+        align_global(indel_ref, dna("ATGCATTCACGTACT", "s3"), DNA_SCHEME)
+    )
     assert protein_differs(indel_only)
 
 
@@ -192,7 +187,7 @@ def test_completeness_and_translation_consistency(data):
         codons[pos - 1] = old[:offset] + base + old[offset + 1 :]
     subj = dna("".join(codons), "property-subj")
 
-    calls = call_mutations(_REF, subj)
+    calls = call_mutations(align_global(_REF, subj, DNA_SCHEME))
     assert not calls.has_indel
     assert calls.dna_identical == (not positions)
     assert [m.codon_number for m in calls.mutations] == positions

@@ -15,6 +15,7 @@ from tp53scan.mutdb import (
     AnnotationResult,
     Database,
     FilterQuery,
+    MutationRecord,
     WtCodonMismatchWarning,
     classify,
     load_db,
@@ -91,6 +92,36 @@ def test_bad_row_equal_codons(tmp_path):
     path = write_tsv(tmp_path / "db.tsv", "a\t10\tCGG\tCGG\tR\tR\tBreast carcinoma")
     with pytest.raises(BadRowError):
         load_db(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a\t10\tCGX\tTGG\tR\tW\tBreast carcinoma", "wt_codon must be a 3-letter DNA codon"),
+        ("a\t10\tCGG\tTG\tR\tW\tBreast carcinoma", "mut_codon must be a 3-letter DNA codon"),
+        ("a\t10\tCGG\tTGG\tArg\tW\tBreast carcinoma", "wt_aa must be one amino-acid letter"),
+        ("a\t10\tCGG\tTGG\tR\t \tBreast carcinoma", "mut_aa must be one amino-acid letter"),
+    ],
+)
+def test_bad_row_codon_and_aa_rules(tmp_path, row, message):
+    path = write_tsv(tmp_path / "db.tsv", "z\t11\tCAT\tCGT\tH\tR\tLung carcinoma", row)
+    with pytest.raises(BadRowError, match=message) as exc:
+        load_db(path)
+    assert exc.value.line == 3
+
+
+def test_record_checks_its_own_codons_and_aas():
+    good = dict(
+        record_id="a", codon_number=248, wt_codon="CGG", mut_codon="TGG",
+        wt_aa="R", mut_aa="W", mutation_event="", tumor_type="Breast carcinoma",
+    )
+    assert MutationRecord(**good).wt_codon == "CGG"
+    for name, bad in [
+        ("wt_codon", "xyz"), ("wt_codon", "cgg"), ("mut_codon", "TGGA"),
+        ("wt_aa", "hello"), ("mut_aa", ""),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            MutationRecord(**{**good, name: bad})
 
 
 def test_bad_row_duplicate_record_id(tmp_path):

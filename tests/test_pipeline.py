@@ -177,13 +177,6 @@ def test_each_candidate_is_aligned_once(monkeypatch, store, db, subject_r248w):
     assert [m.codon_number for m in report.verdict.mutations.mutations] == [248]
 
 
-def test_capped_ranking_realigns_for_calling(monkeypatch, store, db, subject_r248w):
-    calls = _count_alignments(monkeypatch)
-    capped = predict(store, db, subject_r248w, "TP53", PipelineConfig(homolog_prefix_cap=600))
-    assert calls == ["tp53scan.refstore"] * 2 + ["tp53scan.mutcall"]
-    assert capped.verdict.mutations == predict(store, db, subject_r248w, "TP53").verdict.mutations
-
-
 def test_repeat_runs_agree(store, db, subject_r248w):
     first = report_to_dict(predict(store, db, subject_r248w, "TP53"))
     second = report_to_dict(predict(store, db, subject_r248w, "TP53"))

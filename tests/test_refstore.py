@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tp53scan.errors import GeneNotFoundError, ManifestError
 from tp53scan.refstore import (
-    DEFAULT_PREFIX_CAP,
     ReferenceEntry,
     ReferenceStore,
     best_homolog,
     load_store,
 )
-from tp53scan.seqio import Alphabet, Sequence
+from tp53scan.seqio import Alphabet
 
 from support import dna, write_store
 
@@ -153,27 +154,22 @@ def test_ranking_is_deterministic(store, subject_r248w):
     assert [c.entry.source for c in once] == ["ncbi-export", "ebi-export"]
 
 
-def test_prefix_cap_limits_comparison(tmp_path):
-    # Entries identical to the query within the cap but not beyond it;
-    # under the cap only priority separates them.
-    head = "ATGCGG"
+def test_ranking_compares_whole_sequences(tmp_path):
+    # Entries identical to the query over a head longer than 5000 nt, the
+    # length ranking once compared, and different only after it: the
+    # tail decides, against priority.
+    rng = random.Random(53)
+    head = "".join(rng.choice("ACGT") for _ in range(5004))
     store = write_store(
         tmp_path / "store",
         [
-            ("TP53", "tail-mismatch", 2, dna(head + "TTTTTT", "a")),
-            ("TP53", "tail-match", 1, dna(head + "ACGACG", "b")),
+            ("TP53", "tail-mismatch", 1, dna(head + "TTTTTT", "a")),
+            ("TP53", "tail-match", 2, dna(head + "ACGACG", "b")),
         ],
     )
-    query = dna(head + "ACGACG", "q")
-    capped = best_homolog(store, query, "TP53", prefix_cap=len(head))
-    assert [c.entry.source for c in capped] == ["tail-match", "tail-mismatch"]
-    full = best_homolog(store, query, "TP53", prefix_cap=DEFAULT_PREFIX_CAP)
-    assert full[0].entry.source == "tail-match"
-
-
-def test_prefix_cap_validated(store, subject_r248w):
-    with pytest.raises(ValueError):
-        best_homolog(store, subject_r248w, "TP53", prefix_cap=0)
+    ranked = best_homolog(store, dna(head + "ACGACG", "q"), "TP53")
+    assert [c.entry.source for c in ranked] == ["tail-match", "tail-mismatch"]
+    assert ranked[0].alignment.degapped_a() == head + "ACGACG"
 
 
 def test_rank_scores_are_monotone(store, homolog):
@@ -182,13 +178,9 @@ def test_rank_scores_are_monotone(store, homolog):
     # ordering, not scoring, is under test here.
     from tp53scan.alignment import DNA_SCHEME, align_global
 
-    ranked = best_homolog(store, homolog, "TP53", prefix_cap=400)
-    prefix = lambda s: Sequence(  # noqa: E731
-        id=s.id, description="", residues=s.residues[:400], alphabet=Alphabet.DNA
-    )
+    ranked = best_homolog(store, homolog, "TP53")
     scores = [
-        align_global(prefix(homolog), prefix(c.entry.sequence), DNA_SCHEME).score
-        for c in ranked
+        align_global(homolog, c.entry.sequence, DNA_SCHEME).score for c in ranked
     ]
     assert scores == sorted(scores, reverse=True)
 
