@@ -14,8 +14,9 @@ Insert consumes a residue of ``b`` (gap in ``a``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,33 +70,23 @@ class AlignOp(Enum):
 
 def _op_for_column(ca: str, cb: str) -> AlignOp:
     if ca == GAP:
+        if cb == GAP:
+            raise ValueError("column with a gap in both rows")
         return AlignOp.INSERT
     if cb == GAP:
         return AlignOp.DELETE
     return AlignOp.MATCH if ca == cb else AlignOp.MISMATCH
 
 
-def _run_agrees(op: AlignOp, run_a: str, run_b: str) -> bool:
-    """True when every column of one run fits ``op``, checked slice-wise."""
-    if op is AlignOp.INSERT:
-        return not run_a.strip(GAP) and GAP not in run_b
-    if op is AlignOp.DELETE:
-        return GAP not in run_a and not run_b.strip(GAP)
-    if GAP in run_a or GAP in run_b:
-        return False
-    if op is AlignOp.MATCH:
-        return run_a == run_b
-    return all(ca != cb for ca, cb in zip(run_a, run_b))
-
-
 @dataclass(frozen=True)
 class AlignmentResult:
-    """One optimal alignment: gapped rows, total score, run-length ops."""
+    """One optimal alignment: gapped rows, total score, and the run-length
+    ops the rows spell out."""
 
     aligned_a: str
     aligned_b: str
     score: int
-    ops: tuple[tuple[AlignOp, int], ...]
+    ops: tuple[tuple[AlignOp, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         a, b = self.aligned_a, self.aligned_b
@@ -103,44 +94,14 @@ class AlignmentResult:
             raise ValueError("aligned rows differ in length")
         if not a:
             raise ValueError("alignment has no columns")
-        runs: list[tuple[AlignOp, int, int]] = []
-        end = 0
-        for op, count in self.ops:
-            if count < 1:
-                raise ValueError(f"run length must be positive, got {count}")
-            if runs and runs[-1][0] is op:
-                raise ValueError("adjacent runs must have distinct ops")
-            runs.append((op, end, end + count))
-            end += count
-        if end != len(a):
-            raise ValueError("ops do not cover the alignment columns")
-        if all(_run_agrees(op, a[s:e], b[s:e]) for op, s, e in runs):
-            return
-        # name the first offending column
-        for op, s, e in runs:
-            for ca, cb in zip(a[s:e], b[s:e]):
-                if ca == GAP and cb == GAP:
-                    raise ValueError("column with a gap in both rows")
-                if _op_for_column(ca, cb) is not op:
-                    raise ValueError(
-                        f"op {op.value} disagrees with column {ca!r}/{cb!r}"
-                    )
+        runs = groupby(map(_op_for_column, a, b))
+        object.__setattr__(self, "ops", tuple((op, len(list(r))) for op, r in runs))
 
     def degapped_a(self) -> str:
         return self.aligned_a.replace(GAP, "")
 
     def degapped_b(self) -> str:
         return self.aligned_b.replace(GAP, "")
-
-
-def _run_length(ops: list[AlignOp]) -> tuple[tuple[AlignOp, int], ...]:
-    runs: list[tuple[AlignOp, int]] = []
-    for op in ops:
-        if runs and runs[-1][0] is op:
-            runs[-1] = (op, runs[-1][1] + 1)
-        else:
-            runs.append((op, 1))
-    return tuple(runs)
 
 
 def _fill_band(
@@ -247,8 +208,8 @@ def _traceback(
     mats: tuple[np.ndarray, np.ndarray, np.ndarray],
     step: int,
     first: int,
-) -> tuple[str, str, list[AlignOp]]:
-    """Walk one optimal path back to (0, 0).
+) -> tuple[str, str]:
+    """Walk one optimal path back to (0, 0); returns the two gapped rows.
 
     All cell values are integer-valued floats, so exact equality against
     candidate predecessors is safe. Preference order M > X > Y applies at
@@ -271,12 +232,10 @@ def _traceback(
 
     cols_a: list[str] = []
     cols_b: list[str] = []
-    ops: list[AlignOp] = []
     while i > 0 or j > 0:
         if state == "M":
             cols_a.append(a[i - 1])
             cols_b.append(b[j - 1])
-            ops.append(AlignOp.MATCH if a[i - 1] == b[j - 1] else AlignOp.MISMATCH)
             here -= float(scheme.match if a[i - 1] == b[j - 1] else scheme.mismatch)
             i, j = i - 1, j - 1
             if at(mat_m, i, j) == here:
@@ -288,7 +247,6 @@ def _traceback(
         elif state == "X":
             cols_a.append(a[i - 1])
             cols_b.append(GAP)
-            ops.append(AlignOp.DELETE)
             i -= 1
             if at(mat_m, i, j) + go == here:
                 state, here = "M", here - go
@@ -299,7 +257,6 @@ def _traceback(
         else:
             cols_a.append(GAP)
             cols_b.append(b[j - 1])
-            ops.append(AlignOp.INSERT)
             j -= 1
             if at(mat_m, i, j) + go == here:
                 state, here = "M", here - go
@@ -309,8 +266,7 @@ def _traceback(
                 state, here = "Y", here - ge
     cols_a.reverse()
     cols_b.reverse()
-    ops.reverse()
-    return "".join(cols_a), "".join(cols_b), ops
+    return "".join(cols_a), "".join(cols_b)
 
 
 def _exit_bound(n: int, m: int, slack: int, scheme: ScoringScheme) -> int:
@@ -388,15 +344,8 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
         # A wider band never scores lower, so a slack whose bound is
         # below this score is accepted by the next fill.
         slack = max(2 * slack, _slack_beating(n, m, score, scheme))
-    aligned_a, aligned_b, ops = _traceback(
-        a.residues, b.residues, scheme, mats, step, first
-    )
-    return AlignmentResult(
-        aligned_a=aligned_a,
-        aligned_b=aligned_b,
-        score=score,
-        ops=_run_length(ops),
-    )
+    aligned_a, aligned_b = _traceback(a.residues, b.residues, scheme, mats, step, first)
+    return AlignmentResult(aligned_a=aligned_a, aligned_b=aligned_b, score=score)
 
 
 def identity_percent(r: AlignmentResult) -> float:

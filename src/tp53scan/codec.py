@@ -8,6 +8,11 @@ and tuples into lists, and copies dicts. Decoding rebuilds objects from
 A field is written under its own name unless it declares another next
 to it: ``codon_number: int = field(metadata={"wire": "codon"})``. Keys
 follow dataclass field order.
+
+A derived field, one that ``__post_init__`` computes from the others,
+is declared ``field(init=False)``. It is written like any other field;
+on decoding it is left out of the constructor call and checked against
+the value the object derived.
 """
 
 from __future__ import annotations
@@ -38,18 +43,19 @@ def from_dict(cls: type[T], payload: Any) -> T:
     Raises:
         ReportFormatError: a key is missing, a value has the wrong JSON
             type (a float field accepts an int), an enum value is
-            unknown, or a ``__post_init__`` check fails. The message
-            starts with the key path at fault.
+            unknown, a ``__post_init__`` check fails, or a derived
+            field differs from the value the object derives. The
+            message starts with the key path at fault.
     """
     return _decode(cls, payload, "")
 
 
 @functools.cache
-def _wire_fields(cls: type) -> tuple[tuple[str, str, Any], ...]:
-    """(attribute, wire key, type) for each field, in declaration order."""
+def _wire_fields(cls: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(attribute, wire key, type, derived) for each field, in declaration order."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, f.metadata.get("wire", f.name), hints[f.name])
+        (f.name, f.metadata.get("wire", f.name), hints[f.name], not f.init)
         for f in dataclasses.fields(cls)
     )
 
@@ -72,11 +78,11 @@ def _is_enum(tp: Any) -> bool:
 @functools.cache
 def _class_encoder(cls: type) -> Callable[[Any], dict[str, Any]]:
     fields = _wire_fields(cls)
-    keys = tuple(key for _, key, _ in fields)
-    getter = operator.attrgetter(*(name for name, _, _ in fields))
+    keys = tuple(key for _, key, _, _ in fields)
+    getter = operator.attrgetter(*(name for name, _, _, _ in fields))
     values = getter if len(fields) > 1 else (lambda obj: (getter(obj),))
     converters = tuple(
-        (key, enc) for _, key, tp in fields if (enc := _encoder(tp)) is not None
+        (key, enc) for _, key, tp, _ in fields if (enc := _encoder(tp)) is not None
     )
 
     def encode(obj: Any) -> dict[str, Any]:
@@ -128,16 +134,28 @@ def _decode(tp: Any, v: Any, path: str) -> Any:
         return v
     if dataclasses.is_dataclass(tp):
         _expect(v, (dict,), path, "an object")
-        kwargs = {}
-        for name, key, field_tp in _wire_fields(tp):
+        kwargs, derived = {}, []
+        for name, key, field_tp, is_derived in _wire_fields(tp):
             where = f"{path}.{key}" if path else key
             if key not in v:
                 raise ReportFormatError(f"{where}: missing key")
-            kwargs[name] = _decode(field_tp, v[key], where)
+            value = _decode(field_tp, v[key], where)
+            if is_derived:
+                derived.append((name, key, field_tp, where, value))
+            else:
+                kwargs[name] = value
         try:
-            return tp(**kwargs)
+            obj = tp(**kwargs)
         except ValueError as exc:
             raise ReportFormatError(f"{path or tp.__name__}: {exc}") from exc
+        for name, key, field_tp, where, value in derived:
+            if getattr(obj, name) != value:
+                want = _encoder(field_tp) or (lambda x: x)
+                raise ReportFormatError(
+                    f"{where}: {v[key]!r} is inconsistent with the other fields, "
+                    f"which give {want(getattr(obj, name))!r}"
+                )
+        return obj
     if _is_enum(tp):
         try:
             return tp(v)

@@ -6,11 +6,11 @@ the sequence length but never toward the numerator or the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import AllAmbiguousError
-from .seqio import Alphabet, Sequence
+from .seqio import DNA_RESIDUES, Alphabet, Sequence
 
 DEFAULT_GC_THRESHOLD = 38.0
 
@@ -24,14 +24,29 @@ class GateDecision(Enum):
 class CompositionReport:
     """Base tallies for one DNA sequence.
 
-    ``gc_percent`` and ``at_percent`` are percentages of the determined
-    (non-``N``) bases, so they always sum to 100 up to rounding.
+    Built from ``counts`` alone, which must hold a non-negative count
+    for each of ``ACGTN``. ``gc_percent`` and ``at_percent`` are
+    percentages of the determined (non-``N``) bases, so they always sum
+    to 100 up to rounding; ``length`` counts every base.
     """
 
     counts: dict[str, int]
-    gc_percent: float
-    at_percent: float
-    length: int
+    gc_percent: float = field(init=False)
+    at_percent: float = field(init=False)
+    length: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        counts = self.counts
+        if counts.keys() != DNA_RESIDUES or min(counts.values()) < 0:
+            raise ValueError(f"counts must be non-negative, for ACGTN only: {counts}")
+        gc, at = counts["G"] + counts["C"], counts["A"] + counts["T"]
+        if gc + at == 0:
+            raise ValueError("counts hold no determined bases")
+        # multiply before dividing so round fractions come out exact
+        # (38 GC in 100 determined bases must equal the 38.0 threshold)
+        object.__setattr__(self, "gc_percent", 100.0 * gc / (gc + at))
+        object.__setattr__(self, "at_percent", 100.0 * at / (gc + at))
+        object.__setattr__(self, "length", gc + at + counts["N"])
 
 
 def composition(seq: Sequence) -> CompositionReport:
@@ -45,23 +60,11 @@ def composition(seq: Sequence) -> CompositionReport:
         raise ValueError(f"composition requires a DNA sequence, got {seq.alphabet.value}")
 
     tally = seq.residue_counts
-    counts = {base: tally.get(base, 0) for base in "ACGTN"}
-    determined = counts["A"] + counts["C"] + counts["G"] + counts["T"]
-    if determined == 0:
+    if tally.get("N", 0) == len(seq):
         raise AllAmbiguousError(
             f"record {seq.id!r} contains no determined bases (all N)"
         )
-
-    # multiply before dividing so round fractions come out exact
-    # (38 GC in 100 determined bases must equal the 38.0 threshold)
-    gc = 100.0 * (counts["G"] + counts["C"]) / determined
-    at = 100.0 * (counts["A"] + counts["T"]) / determined
-    return CompositionReport(
-        counts=counts,
-        gc_percent=gc,
-        at_percent=at,
-        length=len(seq),
-    )
+    return CompositionReport(counts={base: tally.get(base, 0) for base in "ACGTN"})
 
 
 def check_threshold(threshold_percent: float) -> None:

@@ -13,7 +13,7 @@ from enum import Enum
 
 from .alignment import GAP, AlignmentResult
 from .seqio import DNA_RESIDUES
-from .translation import STANDARD_TABLE, CodonTable, aa_for
+from .translation import aa_for
 
 # Re-exported only for bench/tracer.py, which patches align_global by name
 # in this module; the in-library tracer (ROADMAP item 4) removes the need.
@@ -47,12 +47,15 @@ def check_codon(name: str, codon: str) -> None:
 
 @dataclass(frozen=True)
 class CodonMutation:
+    """One codon substitution; the amino acids and the kind follow from
+    the two codons under the standard table."""
+
     codon_number: int = field(metadata={"wire": "codon"})
     ref_codon: str
     alt_codon: str
-    ref_aa: str
-    alt_aa: str
-    kind: MutationKind
+    ref_aa: str = field(init=False)
+    alt_aa: str = field(init=False)
+    kind: MutationKind = field(init=False)
 
     def __post_init__(self) -> None:
         if self.codon_number < 1:
@@ -61,36 +64,16 @@ class CodonMutation:
         check_codon("alt_codon", self.alt_codon)
         if self.ref_codon == self.alt_codon:
             raise ValueError(f"codon {self.codon_number}: ref and alt codons are equal")
-        if classify_kind(self.ref_aa, self.alt_aa) is not self.kind:
-            raise ValueError(
-                f"kind {self.kind.value} inconsistent with "
-                f"{self.ref_aa!r} -> {self.alt_aa!r}"
-            )
+        ref_aa, alt_aa = aa_for(self.ref_codon), aa_for(self.alt_codon)
+        object.__setattr__(self, "ref_aa", ref_aa)
+        object.__setattr__(self, "alt_aa", alt_aa)
+        object.__setattr__(self, "kind", classify_kind(ref_aa, alt_aa))
 
     def summary(self) -> str:
         """One-line form used by text reports: ``248 CGG>TGG R>W Missense``."""
         return (
             f"{self.codon_number} {self.ref_codon}>{self.alt_codon} "
             f"{self.ref_aa}>{self.alt_aa} {self.kind.value}"
-        )
-
-    @classmethod
-    def from_codons(
-        cls,
-        codon_number: int,
-        ref_codon: str,
-        alt_codon: str,
-        table: CodonTable = STANDARD_TABLE,
-    ) -> "CodonMutation":
-        ref_aa = aa_for(ref_codon, table)
-        alt_aa = aa_for(alt_codon, table)
-        return cls(
-            codon_number=codon_number,
-            ref_codon=ref_codon,
-            alt_codon=alt_codon,
-            ref_aa=ref_aa,
-            alt_aa=alt_aa,
-            kind=classify_kind(ref_aa, alt_aa),
         )
 
 
@@ -108,10 +91,7 @@ class MutationCallSet:
             raise ValueError("identical DNA cannot carry mutations or indels")
 
 
-def call_mutations(
-    alignment: AlignmentResult,
-    table: CodonTable = STANDARD_TABLE,
-) -> MutationCallSet:
+def call_mutations(alignment: AlignmentResult) -> MutationCallSet:
     """Report per-codon substitutions of a reference/subject alignment.
 
     The first row is the reference, the second the subject, as
@@ -155,9 +135,7 @@ def call_mutations(
         alt_codon = "".join(
             subst.get(start + k + 1, ref_codon[k]) for k in range(3)
         )
-        mutations.append(
-            CodonMutation.from_codons(codon_no, ref_codon, alt_codon, table)
-        )
+        mutations.append(CodonMutation(codon_no, ref_codon, alt_codon))
 
     dna_identical = not has_indel and not subst
     return MutationCallSet(

@@ -229,19 +229,13 @@ class FilterQuery:
 @dataclass(frozen=True)
 class AnnotationResult:
     matches: tuple[MutationRecord, ...]
-    distinct_tumor_types: tuple[str, ...]
+    distinct_tumor_types: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = tuple(sorted({r.tumor_type for r in self.matches}))
-        if self.distinct_tumor_types != expected:
-            raise ValueError("distinct_tumor_types must be the sorted tumor-type set")
-
-    @classmethod
-    def from_matches(cls, matches: Iterable[MutationRecord]) -> "AnnotationResult":
-        matched = tuple(matches)
-        return cls(
-            matches=matched,
-            distinct_tumor_types=tuple(sorted({r.tumor_type for r in matched})),
+        object.__setattr__(
+            self,
+            "distinct_tumor_types",
+            tuple(sorted({r.tumor_type for r in self.matches})),
         )
 
 
@@ -272,9 +266,7 @@ def query(db: Database, q: FilterQuery) -> AnnotationResult:
         candidates = [db.records[pos] for pos in db.rows_at_codon(codon_value)]
     else:
         candidates = list(db.records)
-    return AnnotationResult.from_matches(
-        rec for rec in candidates if _matches(rec, q)
-    )
+    return AnnotationResult(tuple(rec for rec in candidates if _matches(rec, q)))
 
 
 def classify(db: Database, m: CodonMutation) -> AnnotationResult | None:

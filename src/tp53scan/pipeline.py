@@ -82,7 +82,10 @@ class GateAttempt:
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: VerdictKind
+    """``kind`` is derived from the calls and the annotations, by the
+    rules in the module docstring."""
+
+    kind: VerdictKind = field(init=False)
     mutations: MutationCallSet
     annotations: AnnotationResult | None
     reference_used: ReferenceDescriptor = field(metadata={"wire": "reference"})
@@ -90,24 +93,34 @@ class Verdict:
     gate_trace: tuple[GateAttempt, ...]
 
     def __post_init__(self) -> None:
-        if self.kind is VerdictKind.NO_RISK and not self.mutations.dna_identical:
-            raise ValueError("NoRisk requires identical DNA")
-        if self.kind is VerdictKind.SILENT_ONLY and protein_differs(self.mutations):
-            raise ValueError("SilentOnly allows only silent substitutions")
-        if self.kind is VerdictKind.PRE_CANCER_MATCH:
-            if self.annotations is None or not self.annotations.matches:
-                raise ValueError("PreCancerMatch requires non-empty annotations")
-        if self.kind is VerdictKind.UNKNOWN_CANCER:
-            if not protein_differs(self.mutations):
-                raise ValueError("UnknownCancer requires a protein-level change")
-            if self.annotations is not None:
-                raise ValueError("UnknownCancer cannot carry database matches")
+        changed = protein_differs(self.mutations)
+        if self.annotations is not None and not (changed and self.annotations.matches):
+            raise ValueError(
+                "annotations need a protein-level change and at least one match"
+            )
         if not self.gate_trace:
             raise ValueError("gate trace cannot be empty")
-        if self.gate_trace[-1].decision is not GateDecision.ACCEPT or any(
+        last = self.gate_trace[-1]
+        if last.decision is not GateDecision.ACCEPT or any(
             a.decision is not GateDecision.REJECT for a in self.gate_trace[:-1]
         ):
             raise ValueError("gate trace must be zero or more Rejects then one Accept")
+        if (last.source, last.gc_percent) != (
+            self.reference_used.source,
+            self.gc_report.gc_percent,
+        ):
+            raise ValueError(
+                "the gate trace's Accept must name the reference used and its GC"
+            )
+        if self.mutations.dna_identical:
+            kind = VerdictKind.NO_RISK
+        elif not changed:
+            kind = VerdictKind.SILENT_ONLY
+        elif self.annotations is not None:
+            kind = VerdictKind.PRE_CANCER_MATCH
+        else:
+            kind = VerdictKind.UNKNOWN_CANCER
+        object.__setattr__(self, "kind", kind)
 
 
 @dataclass(frozen=True)
@@ -205,11 +218,7 @@ def predict(
     calls = call_mutations(accepted.alignment)
 
     annotations: AnnotationResult | None = None
-    if calls.dna_identical:
-        kind = VerdictKind.NO_RISK
-    elif not protein_differs(calls):
-        kind = VerdictKind.SILENT_ONLY
-    else:
+    if protein_differs(calls):
         matched_ids: set[str] = set()
         for m in calls.mutations:
             if m.kind is MutationKind.SILENT:
@@ -218,15 +227,11 @@ def predict(
             if hit is not None:
                 matched_ids.update(r.record_id for r in hit.matches)
         if matched_ids:
-            kind = VerdictKind.PRE_CANCER_MATCH
-            annotations = AnnotationResult.from_matches(
-                r for r in db.records if r.record_id in matched_ids
+            annotations = AnnotationResult(
+                tuple(r for r in db.records if r.record_id in matched_ids)
             )
-        else:
-            kind = VerdictKind.UNKNOWN_CANCER
 
     verdict = Verdict(
-        kind=kind,
         mutations=calls,
         annotations=annotations,
         reference_used=ReferenceDescriptor.from_entry(accepted.entry),

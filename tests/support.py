@@ -9,10 +9,11 @@ the query oracle is a plain linear scan with its own normalization.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from tp53scan.alignment import GAP, AlignmentResult, AlignOp, ScoringScheme
+from tp53scan.alignment import GAP, AlignOp, ScoringScheme
 from tp53scan.mutdb import Database, MutationRecord
 from tp53scan.refstore import ReferenceStore, load_store
 from tp53scan.seqio import Alphabet, FastaDocument, Sequence, write_fasta
@@ -166,7 +167,17 @@ def _traceback(
     return "".join(cols_a), "".join(cols_b), ops
 
 
-def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> AlignmentResult:
+class OracleAlignment(NamedTuple):
+    """The oracle's alignment. Its ops are run-length encoded from the
+    traceback's own moves, not derived from the rows as the library does."""
+
+    aligned_a: str
+    aligned_b: str
+    score: int
+    ops: tuple[tuple[AlignOp, int], ...]
+
+
+def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> OracleAlignment:
     """The optimal alignment the full-matrix Gotoh DP picks (M > X > Y ties)."""
     mat_m, mat_x, mat_y = _fill_matrices(a, b, scheme)
     n, m = len(a), len(b)
@@ -178,9 +189,7 @@ def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> AlignmentRes
             runs[-1] = (op, runs[-1][1] + 1)
         else:
             runs.append((op, 1))
-    return AlignmentResult(
-        aligned_a=aligned_a, aligned_b=aligned_b, score=int(score), ops=tuple(runs)
-    )
+    return OracleAlignment(aligned_a, aligned_b, int(score), tuple(runs))
 
 
 def rescore_alignment(aligned_a: str, aligned_b: str, scheme: ScoringScheme) -> int:

@@ -18,7 +18,12 @@ from tp53scan.alignment import (
     align_global,
     identity_percent,
 )
-from tp53scan.errors import AlignmentTooLargeError, AlphabetMismatchError
+from tp53scan.codec import from_dict, to_dict
+from tp53scan.errors import (
+    AlignmentTooLargeError,
+    AlphabetMismatchError,
+    ReportFormatError,
+)
 from tp53scan.seqio import Alphabet, Sequence
 
 from support import dna, oracle_best_score, oracle_full_alignment, rescore_alignment
@@ -48,41 +53,41 @@ class TestScoringScheme:
             ScoringScheme(match=2, mismatch=-1, gap_open=-5, gap_extend=1)
 
 
+def _with_ops(result: AlignmentResult, ops: list) -> dict:
+    """``to_dict(result)`` with its derived ops replaced by ``ops``."""
+    return {**to_dict(result), "ops": [[op.value, count] for op, count in ops]}
+
+
 class TestAlignmentResultValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            AlignmentResult("AC", "A", 0, ((AlignOp.MATCH, 2),))
+            AlignmentResult("AC", "A", 0)
 
     def test_double_gap_column(self):
-        with pytest.raises(ValueError):
-            AlignmentResult("A-", "A-", 2, ((AlignOp.MATCH, 1), (AlignOp.INSERT, 1)))
+        with pytest.raises(ValueError, match="column with a gap in both rows"):
+            AlignmentResult("A-", "A-", 2)
+
+    # ops are derived from the rows; a payload that disagrees is refused
 
     def test_ops_must_cover_columns(self):
-        with pytest.raises(ValueError):
-            AlignmentResult("AC", "AC", 4, ((AlignOp.MATCH, 1),))
+        payload = _with_ops(AlignmentResult("AC", "AC", 4), [(AlignOp.MATCH, 1)])
+        with pytest.raises(ReportFormatError, match=r"^ops: "):
+            from_dict(AlignmentResult, payload)
 
     def test_ops_must_agree_with_columns(self):
-        with pytest.raises(ValueError):
-            AlignmentResult("AC", "AG", 1, ((AlignOp.MATCH, 2),))
+        payload = _with_ops(AlignmentResult("AC", "AG", 1), [(AlignOp.MATCH, 2)])
+        with pytest.raises(ReportFormatError, match=r"^ops: "):
+            from_dict(AlignmentResult, payload)
 
     def test_runs_positive_and_maximal(self):
-        with pytest.raises(ValueError):
-            AlignmentResult("A", "A", 2, ((AlignOp.MATCH, 0),))
-        with pytest.raises(ValueError):
-            AlignmentResult(
-                "AA", "AA", 4, ((AlignOp.MATCH, 1), (AlignOp.MATCH, 1))
-            )
-
-    def test_first_bad_column_is_named(self):
-        # the bulk check fails on the run; the message names its first bad column
-        ops = ((AlignOp.MATCH, 500), (AlignOp.MISMATCH, 3))
-        with pytest.raises(ValueError, match=r"op Mismatch disagrees with column 'T'/'T'"):
-            AlignmentResult("A" * 500 + "CTG", "A" * 500 + "GTA", 0, ops)
-        ops = ((AlignOp.MATCH, 2), (AlignOp.INSERT, 2))
-        with pytest.raises(ValueError, match="column with a gap in both rows"):
-            AlignmentResult("AC--", "AC-G", 0, ops)
-        with pytest.raises(ValueError, match=r"op Insert disagrees with column 'G'/'T'"):
-            AlignmentResult("AC-G", "ACTT", 0, ops)
+        payload = _with_ops(AlignmentResult("A", "A", 2), [(AlignOp.MATCH, 0)])
+        with pytest.raises(ReportFormatError, match=r"^ops: "):
+            from_dict(AlignmentResult, payload)
+        payload = _with_ops(
+            AlignmentResult("AA", "AA", 4), [(AlignOp.MATCH, 1), (AlignOp.MATCH, 1)]
+        )
+        with pytest.raises(ReportFormatError, match=r"^ops: "):
+            from_dict(AlignmentResult, payload)
 
 
 def test_identity_alignment():

@@ -1,19 +1,30 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import types
+import typing
+from enum import Enum
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tp53scan.alignment import DNA_SCHEME, align_global
+from tp53scan.alignment import DNA_SCHEME, AlignmentResult, align_global
 from tp53scan.codec import from_dict, to_dict
-from tp53scan.composition import GateDecision
+from tp53scan.composition import CompositionReport, GateDecision
 from tp53scan.errors import ReportFormatError
 from tp53scan.mutcall import CodonMutation
-from tp53scan.mutdb import MutationRecord
-from tp53scan.pipeline import GateAttempt, predict, report_from_dict, report_to_dict
+from tp53scan.mutdb import AnnotationResult, MutationRecord
+from tp53scan.pipeline import (
+    GateAttempt,
+    PredictionReport,
+    Verdict,
+    predict,
+    report_from_dict,
+    report_to_dict,
+)
 
 from support import dna
 
@@ -124,6 +135,37 @@ def edited(payload, path, value=None, delete=False):
     return out
 
 
+def derived_keys(tp, node, path=()):
+    """(path, declared type) of every derived key in a payload of type ``tp``."""
+    if node is None:
+        return
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            key = f.metadata.get("wire", f.name)
+            if f.init:
+                yield from derived_keys(hints[f.name], node[key], path + (key,))
+            else:
+                yield path + (key,), hints[f.name]
+    elif typing.get_origin(tp) in (types.UnionType, typing.Union):
+        (inner,) = (a for a in typing.get_args(tp) if a is not type(None))
+        yield from derived_keys(inner, node, path)
+    elif typing.get_origin(tp) is tuple:
+        for i, item in enumerate(node):
+            yield from derived_keys(typing.get_args(tp)[0], item, path + (i,))
+
+
+def wrong_content(tp, value):
+    """A value of the JSON type ``value`` has, but not ``value`` itself."""
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return next(m.value for m in tp if m.value != value)
+    if tp is str:
+        return "Q" if value != "Q" else "A"
+    if tp in (int, float):
+        return value + 1
+    return [*value, "Zebra"]
+
+
 def wrong_values_for(value):
     kind = type(value)
     return [
@@ -157,6 +199,17 @@ def test_malformed_payloads_raise_report_format_error(bundled_payload):
         if path[-1] in BAD_VALUES and not in_map:
             bad = BAD_VALUES[path[-1]]
             cases.append((path, bad, edited(bundled_payload, path, bad)))
+    derived = list(derived_keys(PredictionReport, bundled_payload))
+    assert {path[-1] for path, _ in derived} == {
+        "kind", "ref_aa", "alt_aa", "distinct_tumor_types",
+        "gc_percent", "at_percent", "length",
+    }
+    for path, tp in derived:
+        current = bundled_payload
+        for key in path:
+            current = current[key]
+        wrong = wrong_content(tp, current)
+        cases.append((path, wrong, edited(bundled_payload, path, wrong)))
     assert len(cases) > 500
     escaped = []
     for path, change, payload in cases:
@@ -178,7 +231,11 @@ def test_malformed_payloads_raise_report_format_error(bundled_payload):
         (("verdict", "gate_trace", 0, "decision"), "Maybe", "GateDecision"),
         (("verdict", "mutations", "calls", 0, "kind"), "Silent", "inconsistent"),
         (("verdict", "mutations", "calls", 0, "codon"), 0, "codon number"),
-        (("verdict", "annotations", "distinct_tumor_types"), [], "sorted tumor-type"),
+        (
+            ("verdict", "annotations", "distinct_tumor_types"),
+            [],
+            r"^verdict\.annotations\.distinct_tumor_types: \[\] is inconsistent",
+        ),
         (("verdict", "mutations", "calls", 0, "codon"), "248", "expected int, got str"),
         (
             ("verdict", "annotations", "matches", 0, "wt_codon"),
@@ -202,9 +259,70 @@ def test_missing_key_names_its_path(bundled_payload):
         report_from_dict(edited(bundled_payload, ("verdict", "gc"), delete=True))
 
 
-def test_floats_accept_ints(bundled_payload):
-    payload = edited(bundled_payload, ("verdict", "gate_trace", 0, "gc_percent"), 55)
-    attempt = report_from_dict(payload).verdict.gate_trace[0]
+SILENT_248 = {
+    "codon": 248, "ref_codon": "CGG", "alt_codon": "CGA",
+    "ref_aa": "R", "alt_aa": "R", "kind": "Silent",
+}
+IDENTICAL = {"calls": [], "has_indel": False, "dna_identical": True}
+KIND, MUTATIONS, GC = ("verdict", "kind"), ("verdict", "mutations"), ("verdict", "gc")
+ANNOTATIONS, TRACE = ("verdict", "annotations"), ("verdict", "gate_trace")
+CALL = MUTATIONS + ("calls", 0)
+NEEDS_CHANGE = r"^verdict: annotations need a protein-level change"
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(CALL + ("ref_aa",), "Q")], r"^verdict\.mutations\.calls\[0\]\.ref_aa: 'Q' "),
+        (
+            [(CALL + ("alt_aa",), "R"), (CALL + ("kind",), "Silent")],
+            r"^verdict\.mutations\.calls\[0\]\.alt_aa: 'R' is inconsistent .* 'W'$",
+        ),
+        (
+            [(GC + ("gc_percent",), 12.0), (TRACE + (0, "gc_percent"), 12.0)],
+            r"^verdict\.gc\.gc_percent: 12\.0 is inconsistent",
+        ),
+        ([(GC + ("length",), 5)], r"^verdict\.gc\.length: 5 is inconsistent"),
+        ([(MUTATIONS, IDENTICAL)], NEEDS_CHANGE),
+        (
+            [(KIND, "SilentOnly"), (MUTATIONS, IDENTICAL), (ANNOTATIONS, None)],
+            r"^verdict\.kind: 'SilentOnly' is inconsistent .* 'NoRisk'$",
+        ),
+        ([(KIND, "NoRisk"), (MUTATIONS, IDENTICAL)], NEEDS_CHANGE),
+        ([(KIND, "SilentOnly"), (CALL[:-1], [SILENT_248])], NEEDS_CHANGE),
+        ([(CALL[:-1], [SILENT_248])], NEEDS_CHANGE),
+    ],
+    ids=[
+        "ref_aa-Q", "R>R-silent", "both-gc-12", "gc-length-5",
+        "precancer-identical", "silentonly-identical", "norisk-annotated",
+        "silentonly-annotated", "precancer-silent-call",
+    ],
+)
+def test_tampered_verdicts_name_their_path(bundled_payload, edits, message):
+    payload = bundled_payload
+    for path, value in edits:
+        payload = edited(payload, path, value)
+    with pytest.raises(ReportFormatError, match=message):
+        report_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "cls, derived",
+    [
+        (Verdict, {"kind"}),
+        (CodonMutation, {"ref_aa", "alt_aa", "kind"}),
+        (AnnotationResult, {"distinct_tumor_types"}),
+        (CompositionReport, {"gc_percent", "at_percent", "length"}),
+        (AlignmentResult, {"ops"}),
+    ],
+)
+def test_derived_fields_are_not_constructor_arguments(cls, derived):
+    assert {f.name for f in dataclasses.fields(cls) if not f.init} == derived
+
+
+def test_floats_accept_ints():
+    payload = {**to_dict(GateAttempt("a", 50.0, GateDecision.ACCEPT)), "gc_percent": 55}
+    attempt = from_dict(GateAttempt, payload)
     assert attempt.gc_percent == 55.0 and type(attempt.gc_percent) is float
 
 
@@ -215,7 +333,7 @@ CODONS = st.text(alphabet="ACGT", min_size=3, max_size=3)
 def codon_mutations(draw):
     ref = draw(CODONS)
     alt = draw(CODONS.filter(lambda c: c != ref))
-    return CodonMutation.from_codons(draw(st.integers(min_value=1)), ref, alt)
+    return CodonMutation(draw(st.integers(min_value=1)), ref, alt)
 
 
 @st.composite
@@ -242,7 +360,39 @@ gate_attempts = st.builds(
 )
 
 
-@given(st.one_of(codon_mutations(), mutation_records(), gate_attempts))
+compositions = st.builds(
+    CompositionReport,
+    counts=st.fixed_dictionaries(
+        {base: st.integers(0, 10**6) for base in "ACGTN"}
+    ).filter(lambda c: c["A"] + c["C"] + c["G"] + c["T"] > 0),
+)
+
+annotation_results = st.builds(
+    AnnotationResult, st.lists(mutation_records(), max_size=4).map(tuple)
+)
+
+_COLUMNS = st.tuples(st.sampled_from("ACGT-"), st.sampled_from("ACGT-")).filter(
+    lambda col: col != ("-", "-")
+)
+alignment_results = st.builds(
+    lambda cols, score: AlignmentResult(
+        "".join(a for a, _ in cols), "".join(b for _, b in cols), score
+    ),
+    st.lists(_COLUMNS, min_size=1, max_size=30),
+    st.integers(),
+)
+
+
+@given(
+    st.one_of(
+        codon_mutations(),
+        mutation_records(),
+        gate_attempts,
+        compositions,
+        annotation_results,
+        alignment_results,
+    )
+)
 def test_round_trip_through_json(value):
     payload = json.loads(json.dumps(to_dict(value)))
     assert from_dict(type(value), payload) == value

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tp53scan.composition import GateDecision, composition, reference_gate
+from tp53scan.composition import (
+    CompositionReport,
+    GateDecision,
+    composition,
+    reference_gate,
+)
 from tp53scan.errors import AllAmbiguousError
 from tp53scan.seqio import Alphabet, Sequence
 
@@ -43,6 +48,20 @@ def test_n_excluded_from_denominator():
 def test_all_ambiguous_rejected():
     with pytest.raises(AllAmbiguousError):
         composition(dna("NNNN"))
+
+
+def test_report_is_derived_from_counts():
+    report = CompositionReport({"A": 1, "C": 2, "G": 3, "T": 4, "N": 5})
+    assert (report.gc_percent, report.at_percent, report.length) == (50.0, 50.0, 15)
+    base = {"A": 1, "C": 1, "G": 1, "T": 1, "N": 0}
+    for counts in (
+        {"A": 1, "C": 1, "G": 1, "T": 1},  # N missing
+        {**base, "X": 1},
+        {**base, "A": -1},
+        {**base, "A": 0, "C": 0, "G": 0, "T": 0, "N": 3},  # nothing determined
+    ):
+        with pytest.raises(ValueError):
+            CompositionReport(counts)
 
 
 def test_protein_input_rejected():

@@ -107,7 +107,7 @@ def test_trailing_partial_codon_substitution_dropped():
 
 
 def test_callset_validation():
-    silent = CodonMutation.from_codons(2, "CGG", "CGA")
+    silent = CodonMutation(2, "CGG", "CGA")
     with pytest.raises(ValueError):
         MutationCallSet(mutations=(silent, silent), has_indel=False, dna_identical=False)
     with pytest.raises(ValueError):
@@ -118,22 +118,23 @@ def test_callset_validation():
 
 def test_codon_mutation_validation():
     with pytest.raises(ValueError):
-        CodonMutation.from_codons(1, "CGG", "CGG")
+        CodonMutation(1, "CGG", "CGG")
     for ref, alt in [("XYZ", "TGG"), ("CGG", "TG"), ("CGG", "tgg")]:
         with pytest.raises(ValueError, match="3-letter DNA codon"):
-            CodonMutation(
-                codon_number=1, ref_codon=ref, alt_codon=alt,
-                ref_aa="R", alt_aa="W", kind=MutationKind.MISSENSE,
-            )
-    with pytest.raises(ValueError):
-        CodonMutation(
-            codon_number=1,
-            ref_codon="CGG",
-            alt_codon="TGG",
-            ref_aa="R",
-            alt_aa="W",
-            kind=MutationKind.SILENT,
-        )
+            CodonMutation(codon_number=1, ref_codon=ref, alt_codon=alt)
+
+
+def test_codon_mutation_derives_amino_acids_and_kind():
+    for ref, alt, ref_aa, alt_aa, kind in [
+        ("CGG", "TGG", "R", "W", MutationKind.MISSENSE),
+        ("CGG", "CGA", "R", "R", MutationKind.SILENT),
+        ("CGA", "TGA", "R", "*", MutationKind.NONSENSE),
+        ("CGG", "NGG", "R", "X", MutationKind.MISSENSE),
+    ]:
+        m = CodonMutation(248, ref, alt)
+        assert (m.ref_aa, m.alt_aa, m.kind) == (ref_aa, alt_aa, kind)
+    with pytest.raises(TypeError):
+        CodonMutation(248, "CGG", "TGG", "R", "W", MutationKind.MISSENSE)
 
 
 def test_classify_kind_pure_function():

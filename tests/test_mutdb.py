@@ -33,7 +33,7 @@ def write_tsv(path: Path, *rows: str, header: str = HEADER) -> Path:
 
 
 def r248w() -> CodonMutation:
-    return CodonMutation.from_codons(248, "CGG", "TGG")
+    return CodonMutation(248, "CGG", "TGG")
 
 
 def test_bundled_db_loads(db):
@@ -259,8 +259,11 @@ def test_from_strings_parses_clauses():
 
 def test_annotation_result_validation(db):
     matches = tuple(db.records[:2])
-    with pytest.raises(ValueError):
+    # the tumor types are derived, so the constructor takes none
+    with pytest.raises(TypeError):
         AnnotationResult(matches=matches, distinct_tumor_types=("Zebra",))
+    types = AnnotationResult(matches).distinct_tumor_types
+    assert types == tuple(sorted({r.tumor_type for r in matches}))
 
 
 def test_classify_hit(db):
@@ -271,12 +274,12 @@ def test_classify_hit(db):
 
 
 def test_classify_miss(db):
-    m = CodonMutation.from_codons(2, "CAT", "CGT")
+    m = CodonMutation(2, "CAT", "CGT")
     assert classify(db, m) is None
 
 
 def test_classify_rejects_silent(db):
-    silent = CodonMutation.from_codons(248, "CGG", "CGA")
+    silent = CodonMutation(248, "CGG", "CGA")
     with pytest.raises(ValueError):
         classify(db, silent)
 

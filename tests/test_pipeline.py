@@ -208,7 +208,10 @@ def test_report_version_checked(store, db, subject_r248w):
 def test_rebuild_revalidates_verdict(store, db, subject_r248w):
     payload = report_to_dict(predict(store, db, subject_r248w, "TP53"))
     payload["verdict"]["kind"] = "NoRisk"
-    with pytest.raises(ReportFormatError, match="NoRisk requires identical DNA"):
+    with pytest.raises(
+        ReportFormatError,
+        match=r"^verdict\.kind: 'NoRisk' is inconsistent .* give 'PreCancerMatch'$",
+    ):
         report_from_dict(payload)
 
 
@@ -233,12 +236,12 @@ def _gc_report():
 
 
 def _accept_trace() -> tuple[GateAttempt, ...]:
-    return (GateAttempt(source="unit-src", gc_percent=66.67, decision=GateDecision.ACCEPT),)
+    gc = _gc_report().gc_percent
+    return (GateAttempt("unit-src", gc, GateDecision.ACCEPT),)
 
 
 def _verdict(**overrides) -> Verdict:
     base = dict(
-        kind=VerdictKind.NO_RISK,
         mutations=MutationCallSet(mutations=(), has_indel=False, dna_identical=True),
         annotations=None,
         reference_used=_descriptor(),
@@ -250,8 +253,9 @@ def _verdict(**overrides) -> Verdict:
 
 
 def test_verdict_consistency_enforced(db):
-    silent = CodonMutation.from_codons(2, "CTG", "TTG")
-    missense = CodonMutation.from_codons(2, "CTG", "GTG")
+    silent = CodonMutation(2, "CTG", "TTG")
+    missense = CodonMutation(2, "CTG", "GTG")
+    identical = MutationCallSet(mutations=(), has_indel=False, dna_identical=True)
     differs = MutationCallSet(mutations=(), has_indel=False, dna_identical=False)
     silent_calls = MutationCallSet(
         mutations=(silent,), has_indel=False, dna_identical=False
@@ -259,22 +263,37 @@ def test_verdict_consistency_enforced(db):
     missense_calls = MutationCallSet(
         mutations=(missense,), has_indel=False, dna_identical=False
     )
-    annotations = AnnotationResult.from_matches(db.records[:1])
+    indel_only = MutationCallSet(mutations=(), has_indel=True, dna_identical=False)
+    annotations = AnnotationResult(db.records[:1])
 
-    with pytest.raises(ValueError, match="NoRisk"):
-        _verdict(mutations=differs)
-    with pytest.raises(ValueError, match="SilentOnly"):
-        _verdict(kind=VerdictKind.SILENT_ONLY, mutations=missense_calls)
-    with pytest.raises(ValueError, match="UnknownCancer"):
-        _verdict(kind=VerdictKind.UNKNOWN_CANCER, mutations=silent_calls)
-    with pytest.raises(ValueError, match="matches"):
-        _verdict(
-            kind=VerdictKind.UNKNOWN_CANCER,
-            mutations=missense_calls,
-            annotations=annotations,
-        )
-    with pytest.raises(ValueError, match="PreCancerMatch"):
-        _verdict(kind=VerdictKind.PRE_CANCER_MATCH, mutations=missense_calls)
+    # the kind is derived, so no caller can pass one that contradicts the calls
+    with pytest.raises(TypeError):
+        _verdict(kind=VerdictKind.NO_RISK)
+    assert _verdict(mutations=identical).kind is VerdictKind.NO_RISK
+    assert _verdict(mutations=differs).kind is VerdictKind.SILENT_ONLY
+    assert _verdict(mutations=silent_calls).kind is VerdictKind.SILENT_ONLY
+    assert _verdict(mutations=missense_calls).kind is VerdictKind.UNKNOWN_CANCER
+    assert _verdict(mutations=indel_only).kind is VerdictKind.UNKNOWN_CANCER
+    matched = _verdict(mutations=missense_calls, annotations=annotations)
+    assert matched.kind is VerdictKind.PRE_CANCER_MATCH
+
+    # annotations belong only to a protein-level change with a match
+    for calls in (identical, differs, silent_calls):
+        with pytest.raises(ValueError, match="annotations"):
+            _verdict(mutations=calls, annotations=annotations)
+    with pytest.raises(ValueError, match="at least one match"):
+        _verdict(mutations=missense_calls, annotations=AnnotationResult(()))
+
+
+def test_gate_trace_accept_names_the_reference_used():
+    gc = _gc_report().gc_percent
+    with pytest.raises(ValueError, match="reference used"):
+        _verdict(gate_trace=(GateAttempt("other-src", gc, GateDecision.ACCEPT),))
+    with pytest.raises(ValueError, match="reference used"):
+        _verdict(gate_trace=(GateAttempt("unit-src", 12.0, GateDecision.ACCEPT),))
+    # earlier Rejects name other candidates
+    reject = GateAttempt("other-src", 10.0, GateDecision.REJECT)
+    assert _verdict(gate_trace=(reject, *_accept_trace())).gate_trace[0] is reject
 
 
 def test_gate_trace_shape_enforced():
