@@ -1,12 +1,14 @@
 """Global pairwise alignment with affine gap penalties.
 
 Exact three-state dynamic program (Gotoh). A gap run of length L costs
-``gap_open + (L - 1) * gap_extend``. The DP fills numpy matrices row by
-row, on a band of diagonals that is widened until it provably holds
-every optimal path (Fickett 1984; Ukkonen 1985), so memory is
-O((n + m) * band width). Traceback is pure Python and deterministic: at
-every choice point Match/Mismatch is preferred over Delete, and Delete
-over Insert.
+``gap_open + (L - 1) * gap_extend``. Before any DP, exact word hits
+shared by the two sequences (BLAST-style seeds) are chained into a real
+global path; its score is a lower bound on the optimum. That bound fixes
+a band of diagonals that provably holds every optimal path (Fickett
+1984; Ukkonen 1985), so the DP is filled once, row by row, on that band
+only: memory is O((n + m) * band width), 8 bytes per cell. Traceback is
+pure Python and deterministic: at every choice point Match/Mismatch is
+preferred over Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,12 +31,15 @@ GAP = "-"
 
 _NEG_INF = float("-inf")
 
-# Cells one band may hold, 3 float64 matrices of 8 bytes each: at most
-# 624 MB. A 5000 x 5000 alignment at full width needs 5001 * 5003.
+# Cells one band may hold, 2 float32 matrices of 4 bytes each: at most
+# 208 MB. A 5000 x 5000 alignment at full width needs 5001 * 5003.
 MAX_BAND_CELLS = 26_000_000
 
-# Diagonals added on each side of the corridor by the first fill.
-_START_SLACK = 16
+# float32 holds every integer of smaller magnitude exactly.
+_EXACT_FLOAT32 = 2**24
+
+# Runs a word-hit run looks back over for its predecessor in a chain.
+_CHAIN_REACH = 64
 
 
 @dataclass(frozen=True)
@@ -106,8 +112,8 @@ class AlignmentResult:
 
 def _fill_band(
     a: str, b: str, scheme: ScoringScheme, slack: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int, int]:
-    """Fill the three Gotoh score matrices on a band of diagonals only.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Fill the Gotoh score matrices on a band of diagonals only.
 
     The band spans diagonals lo = min(0, m-n) - slack to
     hi = max(0, m-n) + slack.
@@ -117,9 +123,13 @@ def _fill_band(
     Y[i, j]: last column consumes b[j-1] against a gap (Insert run).
 
     Diagonal d holds the cells with j - i = d. Values are the optimum
-    over paths that stay inside the band. Returns the matrices and
-    (step, first): cell (i, j) is stored at row i, column
-    j - step*i - first + 1, with a -inf column at each end of a row.
+    over paths that stay inside the band, as float32 (exact: see
+    _check_exact). M and X are kept whole, since the traceback reads
+    them; Y is kept for the last row only, since it reads Y nowhere
+    else. Returns M, X, the last Y row and (step, first): cell (i, j)
+    is stored at row i, column j - step*i - first + 1, with a -inf
+    column at each end of a row (the Y row has none on the left, so
+    column c there is column c + 1 of M and X).
 
     A band narrower than the matrix is stored by diagonal (step 1,
     first lo): row i holds j = i+lo .. i+hi, so (i-1, j-1) sits in the
@@ -145,16 +155,16 @@ def _fill_band(
             f"a {n} x {m} alignment needs {cells} cells, "
             f"more than the limit of {MAX_BAND_CELLS}"
         )
-    match, mismatch = float(scheme.match), float(scheme.mismatch)
-    go, ge = float(scheme.gap_open), float(scheme.gap_extend)
+    f32 = np.float32
+    match, mismatch = f32(scheme.match), f32(scheme.mismatch)
+    go, ge = f32(scheme.gap_open), f32(scheme.gap_extend)
 
-    mat_m = np.full((n + 1, width + 2), _NEG_INF)
-    mat_x = np.full((n + 1, width + 2), _NEG_INF)
-    mat_y = np.full((n + 1, width + 2), _NEG_INF)
-    inner_m, inner_x, inner_y = (mat[:, 1:-1] for mat in (mat_m, mat_x, mat_y))
+    mat_m = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
+    mat_x = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
+    y_row = np.full(width, _NEG_INF, dtype=f32)
+    inner_m, inner_x = mat_m[:, 1:-1], mat_x[:, 1:-1]
     # x_above[i - 1][p]: X at (i-1, j) for the cell (i, j) at position p
     x_above = mat_x[:, 1 + step : 1 + step + width]
-    y_tail = mat_y[:, 2:-1]
 
     # windows[c][i][p]: score of pairing residue c with b[j-1], where
     # (i, j) is stored at position p. Where j is outside 1..m the value
@@ -167,25 +177,25 @@ def _fill_band(
         for ch in set(a)
     }
 
-    ramp = ge * np.arange(width)
+    ramp = ge * np.arange(width, dtype=f32)
     ladder = (go + ramp)[:-1]  # cost of an Insert run of length p+1
     # tops[i % 2]: max(M, X, Y) of row i, with the same -inf end columns
-    tops = np.full((2, width + 2), _NEG_INF)
+    tops = np.full((2, width + 2), _NEG_INF, dtype=f32)
     # the same for the row maxima: top_diag at (i-1, j-1), top_above at (i-1, j)
     top_diag = [t[step : step + width] for t in tops]
     top_above = [t[1 + step : 1 + step + width] for t in tops]
     top_rows = [t[1:-1] for t in tops]
-    lead = np.empty(width)
-    scan = np.empty(width)
-    opened = np.empty(width)
+    lead = np.empty(width, dtype=f32)
+    scan = np.empty(width, dtype=f32)
+    opened = np.empty(width, dtype=f32)
 
     def finish_row(i: int) -> None:
         # Insert: entry points are M or X at some position q < p
         np.maximum(inner_m[i], inner_x[i], out=lead)
         np.subtract(lead, ramp, out=scan)
         np.maximum.accumulate(scan, out=scan)
-        np.add(ladder, scan[:-1], out=y_tail[i])
-        np.maximum(lead, inner_y[i], out=top_rows[i & 1])
+        np.add(ladder, scan[:-1], out=y_row[1:])
+        np.maximum(lead, y_row, out=top_rows[i & 1])
 
     inner_m[0, -first] = 0.0
     finish_row(0)
@@ -198,37 +208,40 @@ def _fill_band(
         x_row = np.add(x_above[i - 1], ge, out=inner_x[i])
         np.maximum(x_row, opened, out=x_row)
         finish_row(i)
-    return (mat_m, mat_x, mat_y), step, first
+    return mat_m, mat_x, y_row, step, first
 
 
 def _traceback(
     a: str,
     b: str,
     scheme: ScoringScheme,
-    mats: tuple[np.ndarray, np.ndarray, np.ndarray],
+    mat_m: np.ndarray,
+    mat_x: np.ndarray,
+    y_end: float,
     step: int,
     first: int,
 ) -> tuple[str, str]:
     """Walk one optimal path back to (0, 0); returns the two gapped rows.
 
-    All cell values are integer-valued floats, so exact equality against
-    candidate predecessors is safe. Preference order M > X > Y applies at
-    the end cell and at every step. A predecessor outside the band reads
-    -inf and is never chosen.
+    ``y_end`` is Y at the end cell, the only Y value the walk needs:
+    elsewhere a state is Y when it is neither M nor X. All cell values
+    are integer-valued floats, so exact equality against candidate
+    predecessors is safe. Preference order M > X > Y applies at the end
+    cell and at every step. A predecessor outside the band reads -inf
+    and is never chosen.
     """
     go, ge = float(scheme.gap_open), float(scheme.gap_extend)
-    mat_m, mat_x, mat_y = mats
     i, j = len(a), len(b)
 
     def at(mat: np.ndarray, i: int, j: int) -> float:
-        return mat[i, j - step * i - first + 1]
+        return mat.item(i, j - step * i - first + 1)
 
     state = "M"
     here = at(mat_m, i, j)
     if at(mat_x, i, j) > here:
         state, here = "X", at(mat_x, i, j)
-    if at(mat_y, i, j) > here:
-        state, here = "Y", at(mat_y, i, j)
+    if y_end > here:
+        state, here = "Y", y_end
 
     cols_a: list[str] = []
     cols_b: list[str] = []
@@ -309,21 +322,153 @@ def _slack_beating(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
     return lo
 
 
+class _Seed(NamedTuple):
+    """A global path built from exact word hits, before any DP.
+
+    ``corners`` runs from (0, 0) to (n, m); between two consecutive
+    corners the path takes only diagonal columns or only gap columns.
+    ``score`` is the path's affine score, a lower bound on the optimum.
+    """
+
+    score: int
+    corners: tuple[tuple[int, int], ...]
+
+
+def _word_runs(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
+    """Runs of consecutive word hits on one diagonal, in order along ``a``.
+
+    A hit is a word that occurs exactly once in each sequence. Returns
+    each run's start in ``a``, start in ``b`` and length in residues;
+    every residue pair of a run matches exactly.
+    """
+    codes_a, starts_a = a.unique_words
+    codes_b, starts_b = b.unique_words
+    at = np.searchsorted(codes_a, codes_b)
+    hit = at < len(codes_a)
+    hit[hit] = codes_a[at[hit]] == codes_b[hit]
+    pa, pb = starts_a[at[hit]], starts_b[hit]
+    if not len(pa):
+        return []
+    order = np.argsort(pa)
+    pa, pb = pa[order], pb[order]
+    # a word occurs once in a, so hits at pa and pa+1 on one diagonal
+    # are two overlapping words of one exact match
+    breaks = (np.diff(pa) != 1) | (np.diff(pb) != 1)
+    heads = np.flatnonzero(np.concatenate(([True], breaks)))
+    tails = np.flatnonzero(np.concatenate((breaks, [True])))
+    sizes = pa[tails] - pa[heads] + a.alphabet.word_size
+    return list(zip(pa[heads].tolist(), pb[heads].tolist(), sizes.tolist()))
+
+
+def _chain(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The heaviest chain of runs (by residues) whose starts and ends
+    both increase in both sequences; ``runs`` are ordered along ``a``.
+
+    A run looks back at most _CHAIN_REACH runs for its predecessor, so
+    the cost stays linear in the number of runs.
+    """
+
+    def fits(before: tuple[int, int, int], after: tuple[int, int, int]) -> bool:
+        (sa, sb, size), (ta, tb, tsize) = before, after
+        return sb < tb and sa + size < ta + tsize and sb + size < tb + tsize
+
+    total: list[int] = []
+    back: list[int] = []
+    for i, run in enumerate(runs):
+        best, prev = 0, -1
+        for j in range(max(0, i - _CHAIN_REACH), i):
+            if total[j] > best and fits(runs[j], run):
+                best, prev = total[j], j
+        total.append(best + run[2])
+        back.append(prev)
+    chain = []
+    i = max(range(len(runs)), key=total.__getitem__, default=-1)
+    while i >= 0:
+        chain.append(runs[i])
+        i = back[i]
+    return chain[::-1]
+
+
+def _seed(a: Sequence, b: Sequence, scheme: ScoringScheme) -> _Seed:
+    """Chain the word hits into a global path (BLAST-style seeding).
+
+    The chained runs are trimmed where they overlap the run before, and
+    consecutive runs, with (0, 0) and (n, m) at the ends, are joined by
+    diagonal columns and one gap run. The gap goes at the split that
+    scores best.
+    """
+    codes_a = np.frombuffer(a.residues.encode("ascii"), dtype=np.uint8)
+    codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
+    corners = [(0, 0)]
+    score = 0
+
+    def diagonal(i: int, j: int, steps: int) -> np.ndarray:
+        same = codes_a[i : i + steps] == codes_b[j : j + steps]
+        return np.where(same, scheme.match, scheme.mismatch)
+
+    def join(i2: int, j2: int) -> None:
+        # from the last corner to (i2, j2): t diagonal columns on the old
+        # diagonal, the gap, then the rest of the steps on the new one
+        nonlocal score
+        i1, j1 = corners[-1]
+        steps, shift = min(i2 - i1, j2 - j1), (i2 - i1) - (j2 - j1)
+        if shift:
+            old, new = diagonal(i1, j1, steps), diagonal(i2 - steps, j2 - steps, steps)
+            gain = np.cumsum(old - new)
+            t = int(np.argmax(gain)) + 1 if steps and gain.max() > 0 else 0
+            score += int(new.sum()) + (int(gain[t - 1]) if t else 0)
+            score += scheme.gap_open + (abs(shift) - 1) * scheme.gap_extend
+            corners.append((i1 + t, j1 + t))
+            corners.append((i1 + t + max(shift, 0), j1 + t + max(-shift, 0)))
+        elif steps:
+            score += int(diagonal(i1, j1, steps).sum())
+        corners.append((i2, j2))
+
+    for start_a, start_b, size in _chain(_word_runs(a, b)):
+        i, j = corners[-1]
+        trim = max(i - start_a, j - start_b, 0)
+        join(start_a + trim, start_b + trim)
+        corners.append((start_a + size, start_b + size))
+        score += scheme.match * (size - trim)
+    join(len(a), len(b))
+    return _Seed(score, tuple(corners))
+
+
+def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
+    """Raise unless float32 cells hold every score of the fill exactly.
+
+    A path of n + m columns or fewer scores at most (n + m) * largest in
+    magnitude, and the Insert scan adds at most m * largest more; float32
+    holds every integer below 2**24.
+    """
+    largest = max(
+        abs(scheme.match), abs(scheme.mismatch), abs(scheme.gap_open), abs(scheme.gap_extend)
+    )
+    if 2 * (n + m) * largest >= _EXACT_FLOAT32:
+        raise AlignmentTooLargeError(
+            f"a {n} x {m} alignment with scores up to {largest} could reach "
+            f"{2 * (n + m) * largest}, beyond the exact float32 range of {_EXACT_FLOAT32}"
+        )
+
+
 def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentResult:
     """Align two sequences end to end, maximizing the affine-gap score.
 
-    The DP is filled on a band of diagonals around the corridor from
-    diagonal 0 to diagonal len(b) - len(a). A fill is accepted only when
-    its score beats every path that leaves the band (_exit_bound), or
-    when the band covers the whole matrix; otherwise the slack grows at
-    least twofold and the band is filled again. An accepted band holds
-    every optimal path, so rows, ops and score are the ones the full
-    matrix gives.
+    The DP is filled once, on a band of diagonals around the corridor
+    from diagonal 0 to diagonal len(b) - len(a). A seed path built from
+    shared words (_seed) scores L, a lower bound on the optimum, and the
+    slack is the smallest whose exit bound lies below L. Every path that
+    leaves the band scores at most that bound, so the seed path lies
+    inside and the fill scores at least L: the band is accepted, and it
+    holds every optimal path, so rows, ops and score are the ones the
+    full matrix gives.
 
     Raises:
         AlphabetMismatchError: if the sequences use different alphabets.
         EmptyInputError: if either sequence has no residues.
-        AlignmentTooLargeError: if a band needs more than MAX_BAND_CELLS.
+        AlignmentTooLargeError: if the band needs more than
+            MAX_BAND_CELLS, or the scores could leave the exact float32
+            range.
     """
     if a.alphabet is not b.alphabet:
         raise AlphabetMismatchError(
@@ -333,18 +478,20 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
         raise EmptyInputError("both sequences must have at least one residue")
 
     n, m = len(a), len(b)
-    slack = _START_SLACK
-    while True:
-        mats, step, first = _fill_band(a.residues, b.residues, scheme, slack)
-        end = m - step * n - first + 1
-        score = int(max(mat[n, end] for mat in mats))
-        if _covers_matrix(n, m, slack) or score > _exit_bound(n, m, slack, scheme):
-            break
-        del mats  # the next band is filled without this one alive
-        # A wider band never scores lower, so a slack whose bound is
-        # below this score is accepted by the next fill.
-        slack = max(2 * slack, _slack_beating(n, m, score, scheme))
-    aligned_a, aligned_b = _traceback(a.residues, b.residues, scheme, mats, step, first)
+    _check_exact(n, m, scheme)
+    seed = _seed(a, b, scheme)
+    slack = _slack_beating(n, m, seed.score, scheme)
+    mat_m, mat_x, y_last, step, first = _fill_band(a.residues, b.residues, scheme, slack)
+    end = m - step * n - first + 1
+    y_end = y_last.item(end - 1)
+    score = int(max(mat_m.item(n, end), mat_x.item(n, end), y_end))
+    if not (_covers_matrix(n, m, slack) or score > _exit_bound(n, m, slack, scheme)):
+        raise AssertionError(
+            f"seeded band refused: slack {slack}, seed score {seed.score}, band score {score}"
+        )
+    aligned_a, aligned_b = _traceback(
+        a.residues, b.residues, scheme, mat_m, mat_x, y_end, step, first
+    )
     return AlignmentResult(aligned_a=aligned_a, aligned_b=aligned_b, score=score)
 
 

@@ -1,7 +1,7 @@
 """Dataclass <-> JSON tree codec driven by declared field types.
 
 Encoding turns nested dataclasses into dicts, enums into their values
-and tuples into lists, and copies dicts. Decoding rebuilds objects from
+and tuples into lists, and copies mappings into dicts. Decoding rebuilds objects from
 ``typing.get_type_hints`` through their constructors, so every
 ``__post_init__`` check runs again.
 
@@ -22,6 +22,7 @@ import functools
 import operator
 import types
 import typing
+from collections.abc import Mapping
 from enum import Enum
 from typing import Any, Callable, TypeVar
 
@@ -112,7 +113,7 @@ def _encoder(tp: Any) -> Callable[[Any], Any] | None:
     if origin is tuple:
         items = [_encoder(a) or (lambda x: x) for a in args]
         return lambda v: [enc(x) for enc, x in zip(items, v)]
-    if origin is dict:
+    if origin in (dict, Mapping):
         value = _encoder(args[1])
         return (lambda v: {k: value(x) for k, x in v.items()}) if value else dict
     raise TypeError(f"codec cannot encode {tp!r}")
@@ -172,7 +173,7 @@ def _decode(tp: Any, v: Any, path: str) -> Any:
         return tuple(
             _decode(t, x, f"{path}[{i}]") for i, (t, x) in enumerate(zip(item_types, v))
         )
-    if origin is dict:
+    if origin in (dict, Mapping):
         _expect(v, (dict,), path, "an object")
         return {
             _decode(args[0], k, path): _decode(args[1], x, f"{path}.{k}")

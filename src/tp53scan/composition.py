@@ -6,8 +6,10 @@ the sequence length but never toward the numerator or the denominator.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import AllAmbiguousError
 from .seqio import DNA_RESIDUES, Alphabet, Sequence
@@ -27,18 +29,20 @@ class CompositionReport:
     Built from ``counts`` alone, which must hold a non-negative count
     for each of ``ACGTN``. ``gc_percent`` and ``at_percent`` are
     percentages of the determined (non-``N``) bases, so they always sum
-    to 100 up to rounding; ``length`` counts every base.
+    to 100 up to rounding; ``length`` counts every base. ``counts`` is
+    kept as a read-only copy, so the derived values cannot go stale.
     """
 
-    counts: dict[str, int]
+    counts: Mapping[str, int]
     gc_percent: float = field(init=False)
     at_percent: float = field(init=False)
     length: int = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = self.counts
+        counts = MappingProxyType(dict(self.counts))
+        object.__setattr__(self, "counts", counts)
         if counts.keys() != DNA_RESIDUES or min(counts.values()) < 0:
-            raise ValueError(f"counts must be non-negative, for ACGTN only: {counts}")
+            raise ValueError(f"counts must be non-negative, for ACGTN only: {dict(counts)}")
         gc, at = counts["G"] + counts["C"], counts["A"] + counts["T"]
         if gc + at == 0:
             raise ValueError("counts hold no determined bases")

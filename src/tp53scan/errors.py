@@ -68,7 +68,8 @@ class EmptyInputError(ScanError):
 
 
 class AlignmentTooLargeError(ScanError):
-    """The alignment band would need more cells than the fixed limit."""
+    """The alignment band would need more cells than the fixed limit, or
+    its scores could leave the range its cells hold exactly."""
 
 
 # --- translation

@@ -10,6 +10,9 @@ from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .errors import (
     DuplicateIdError,
     EmptyHeaderError,
@@ -29,6 +32,12 @@ class Alphabet(Enum):
     @property
     def residues(self) -> frozenset[str]:
         return DNA_RESIDUES if self is Alphabet.DNA else PROTEIN_RESIDUES
+
+    @property
+    def word_size(self) -> int:
+        """Length of the indexed words: BLASTN's default word for DNA,
+        BLASTP's for protein."""
+        return 11 if self is Alphabet.DNA else 3
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,36 @@ class Sequence:
     def residue_counts(self) -> Mapping[str, int]:
         """Occurrences of each residue, tallied on first use only."""
         return MappingProxyType(Counter(self.residues))
+
+    @cached_property
+    def unique_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """Words of ``alphabet.word_size`` residues that occur exactly once,
+        built on first use only.
+
+        Returns (codes, starts): each word as a base-R integer over the
+        sorted alphabet, in ascending order, and the 0-based position
+        where it starts. Both arrays are read-only.
+        """
+        letters = sorted(self.alphabet.residues)
+        k, radix = self.alphabet.word_size, len(letters)
+        lookup = np.zeros(256, dtype=np.int64)
+        lookup[[ord(c) for c in letters]] = np.arange(radix)
+        digits = lookup[np.frombuffer(self.residues.encode("ascii"), dtype=np.uint8)]
+        if len(digits) < k:
+            codes = np.empty(0, dtype=np.int64)
+        else:
+            codes = sliding_window_view(digits, k) @ radix ** np.arange(k - 1, -1, -1)
+        starts = np.argsort(codes, kind="stable")
+        codes = codes[starts]
+        # a word is unique when it equals neither sorted neighbour
+        repeat = codes[1:] == codes[:-1]
+        once = np.ones(len(codes), dtype=bool)
+        once[1:] &= ~repeat
+        once[:-1] &= ~repeat
+        index = codes[once], starts[once]
+        for array in index:
+            array.setflags(write=False)
+        return index
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,28 @@ def test_identity_percent_range(a: str, b: str):
 # --- exactness of the banded fill against the full-matrix oracle
 
 
+def _spell(a: str, b: str, corners: tuple[tuple[int, int], ...]) -> tuple[str, str]:
+    """The gapped rows of a path given by its corners; each leg between
+    two corners must be all diagonal or all gap columns."""
+    assert corners[0] == (0, 0) and corners[-1] == (len(a), len(b))
+    rows_a, rows_b = [], []
+    for (i0, j0), (i1, j1) in zip(corners, corners[1:]):
+        down, across = i1 - i0, j1 - j0
+        assert down >= 0 and across >= 0
+        if down and across:
+            assert down == across
+            rows_a.append(a[i0:i1])
+            rows_b.append(b[j0:j1])
+        else:
+            rows_a.append(a[i0:i1] + "-" * across)
+            rows_b.append("-" * down + b[j0:j1])
+    return "".join(rows_a), "".join(rows_b)
+
+
 def _same_as_oracle(a: Sequence, b: Sequence, scheme: ScoringScheme) -> None:
+    """align_global gives the full-matrix oracle's alignment, and the seed
+    path its band is sized from is a real alignment no better than it,
+    lying inside that band."""
     got = align_global(a, b, scheme)
     want = oracle_full_alignment(a.residues, b.residues, scheme)
     assert (got.aligned_a, got.aligned_b, got.ops, got.score) == (
@@ -249,6 +270,17 @@ def _same_as_oracle(a: Sequence, b: Sequence, scheme: ScoringScheme) -> None:
         want.ops,
         want.score,
     )
+    seed = alignment._seed(a, b, scheme)
+    rows = _spell(a.residues, b.residues, seed.corners)
+    assert rescore_alignment(*rows, scheme) == seed.score <= want.score
+    n, m = len(a), len(b)
+    # a path leaving the band scores at most its exit bound, so the band
+    # sized from the seed's score holds the seed path
+    slack = alignment._slack_beating(n, m, seed.score, scheme)
+    lo, hi = min(0, m - n) - slack, max(0, m - n) + slack
+    assert alignment._covers_matrix(n, m, slack) or all(
+        lo <= j - i <= hi for i, j in seed.corners
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,15 +288,12 @@ def _same_as_oracle(a: Sequence, b: Sequence, scheme: ScoringScheme) -> None:
     a=st.text(alphabet="ACGTN", min_size=1, max_size=40),
     b=st.text(alphabet="ACGTN", min_size=1, max_size=40),
     scheme=_schemes(),
-    start=st.sampled_from([1, 2, 16]),
 )
-# an optimal path leaves the first band with a score equal to its bound:
+# an optimal path leaves a slack-1 band with a score equal to its bound:
 # accepting that band would pick another of the tied alignments
-@example(a="CTTCTA", b="CTTAAC", scheme=ScoringScheme(4, -4, -2, -2), start=1)
-def test_band_matches_full_matrix_dna(a: str, b: str, scheme: ScoringScheme, start: int):
-    # a start slack of 1 or 2 makes short inputs grow the band
-    with mock.patch.object(alignment, "_START_SLACK", start):
-        _same_as_oracle(dna(a, "a"), dna(b, "b"), scheme)
+@example(a="CTTCTA", b="CTTAAC", scheme=ScoringScheme(4, -4, -2, -2))
+def test_band_matches_full_matrix_dna(a: str, b: str, scheme: ScoringScheme):
+    _same_as_oracle(dna(a, "a"), dna(b, "b"), scheme)
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,13 +301,9 @@ def test_band_matches_full_matrix_dna(a: str, b: str, scheme: ScoringScheme, sta
     a=st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX*", min_size=1, max_size=40),
     b=st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX*", min_size=1, max_size=40),
     scheme=_schemes(),
-    start=st.sampled_from([1, 2, 16]),
 )
-def test_band_matches_full_matrix_protein(
-    a: str, b: str, scheme: ScoringScheme, start: int
-):
-    with mock.patch.object(alignment, "_START_SLACK", start):
-        _same_as_oracle(protein(a, "a"), protein(b, "b"), scheme)
+def test_band_matches_full_matrix_protein(a: str, b: str, scheme: ScoringScheme):
+    _same_as_oracle(protein(a, "a"), protein(b, "b"), scheme)
 
 
 @st.composite
@@ -318,12 +343,58 @@ def test_band_matches_full_matrix_low_complexity(
 ):
     # repeats admit many optimal paths; the band must pick the same one
     a, b = (unit * n)[:n], (unit * m)[:m]
-    with mock.patch.object(alignment, "_START_SLACK", 1):
-        _same_as_oracle(dna(a, "a"), dna(b, "b"), scheme)
+    _same_as_oracle(dna(a, "a"), dna(b, "b"), scheme)
+
+
+def _divergent_pair() -> tuple[Sequence, Sequence]:
+    """A 1.2 kb sequence and a copy with 10-15% substitutions and three
+    indels of up to 90 nt, like the benchmark's divergent entries."""
+    rng = random.Random(11)
+    base = rng.choices("ACGT", k=1200)
+    other = list(base)
+    for pos in rng.sample(range(len(other)), rng.randint(120, 180)):
+        other[pos] = rng.choice("ACGT".replace(other[pos], ""))
+    for size in (90, 45, 60):
+        pos = rng.randrange(len(other) - size)
+        if rng.random() < 0.5:
+            other[pos:pos] = rng.choices("ACGT", k=size)
+        else:
+            del other[pos : pos + size]
+    return dna("".join(base), "a"), dna("".join(other), "b")
+
+
+@pytest.mark.parametrize("pair", ["bundled", "divergent"])
+def test_one_fill_per_alignment(pair: str, reference_cds, subject_r248w):
+    a, b = (reference_cds, subject_r248w) if pair == "bundled" else _divergent_pair()
+    with mock.patch.object(alignment, "_fill_band", wraps=alignment._fill_band) as fill:
+        _same_as_oracle(a, b, DNA_SCHEME)
+    assert fill.call_count == 1
+
+
+def test_seed_puts_the_gap_at_the_best_split():
+    # substitutions every 6 nt around a 30-nt deletion leave no shared
+    # word there, so the join between the flanking runs places the gap
+    rng = random.Random(2)
+    a = rng.choices("ACGT", k=400)
+    b = a[:200] + a[230:]
+    for pos in range(170, 240, 6):
+        b[pos] = rng.choice("ACGT".replace(b[pos], ""))
+    a, b = "".join(a), "".join(b)
+    seed = alignment._seed(dna(a, "a"), dna(b, "b"), DNA_SCHEME)
+    assert (200, 200) in seed.corners and (230, 200) in seed.corners
+    assert seed.score == oracle_full_alignment(a, b, DNA_SCHEME).score
+
+
+def test_band_cells_take_8_bytes():
+    n, m, slack = 30, 40, 3
+    mat_m, mat_x, y_last, _, _ = alignment._fill_band("A" * n, "C" * m, DNA_SCHEME, slack)
+    width = m - n + 2 * slack + 1
+    assert mat_m.nbytes + mat_x.nbytes == 8 * (n + 1) * (width + 2)
+    assert y_last.shape == (width,)
 
 
 def test_band_memory_is_linear_in_length(reference_cds, subject_r248w):
-    # a full 1179 x 1179 fill holds 3 float64 matrices, about 32 MB
+    # a full 1179 x 1179 fill of 2 float32 matrices would take about 11 MB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -345,3 +416,28 @@ def test_oversized_band_raises_named_error(monkeypatch):
 
 def test_cell_limit_admits_full_width_5000():
     assert (5000 + 1) * (5000 + 1 + 2) <= alignment.MAX_BAND_CELLS
+
+
+def test_scores_beyond_float32_range_raise_before_any_work():
+    huge = ScoringScheme(match=2**22, mismatch=-1, gap_open=-5, gap_extend=-1)
+    with mock.patch.object(alignment, "_seed") as seed, mock.patch.object(
+        alignment, "_fill_band"
+    ) as fill:
+        with pytest.raises(AlignmentTooLargeError, match="float32"):
+            align_global(dna("ACGT", "a"), dna("ACGT", "b"), huge)
+    assert seed.call_count == fill.call_count == 0
+    # every score of a fill stays below 2**24 while 2 * (n + m) * 2**20 does
+    big = ScoringScheme(match=2**20, mismatch=-1, gap_open=-5, gap_extend=-1)
+    assert align_global(dna("ACGT", "a"), dna("ACG", "b"), big).score == 3 * 2**20 - 5
+    with pytest.raises(AlignmentTooLargeError):
+        align_global(dna("ACGT", "a"), dna("ACGT", "b"), big)
+
+
+def test_5000_by_5000_dna_pair_is_admitted():
+    rng = random.Random(5)
+    a = rng.choices("ACGT", k=5000)
+    b = list(a)
+    for pos in rng.sample(range(5000), 50):
+        b[pos] = rng.choice("ACGT".replace(b[pos], ""))
+    r = align_global(dna("".join(a), "a"), dna("".join(b), "b"), DNA_SCHEME)
+    assert r.score == 2 * 4950 - 50

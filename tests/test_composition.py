@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from tp53scan.composition import (
     composition,
     reference_gate,
 )
+from tp53scan.codec import from_dict, to_dict
 from tp53scan.errors import AllAmbiguousError
 from tp53scan.seqio import Alphabet, Sequence
 
@@ -62,6 +65,27 @@ def test_report_is_derived_from_counts():
     ):
         with pytest.raises(ValueError):
             CompositionReport(counts)
+
+
+def test_counts_are_read_only():
+    given_counts = {"A": 1, "C": 1, "G": 1, "T": 1, "N": 0}
+    report = CompositionReport(given_counts)
+    with pytest.raises(TypeError):
+        report.counts["G"] = 7  # type: ignore[index]
+    # the report keeps its own copy: the caller's dict cannot reach it
+    given_counts["G"] = 7
+    assert report.counts["G"] == 1
+    assert (report.gc_percent, report.length) == (50.0, 4)
+
+
+def test_read_only_counts_encode_as_before():
+    report = composition(dna("ACGTNNA"))
+    text = json.dumps(to_dict(report))
+    assert text == (
+        '{"counts": {"A": 2, "C": 1, "G": 1, "T": 1, "N": 2}, '
+        '"gc_percent": 40.0, "at_percent": 60.0, "length": 7}'
+    )
+    assert json.dumps(to_dict(from_dict(CompositionReport, json.loads(text)))) == text
 
 
 def test_protein_input_rejected():
