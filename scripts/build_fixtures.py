@@ -123,7 +123,7 @@ def _gc_count(text: str) -> int:
 
 def _synonyms() -> dict[str, list[str]]:
     groups: dict[str, list[str]] = {}
-    for codon, aa in STANDARD_TABLE.entries.items():
+    for codon, aa in STANDARD_TABLE.items():
         groups.setdefault(aa, []).append(codon)
     return {aa: sorted(codons) for aa, codons in groups.items()}
 
@@ -150,7 +150,7 @@ def _normalize_gc(codons: list[str], locked: set[int], target: int, rng: random.
 
 def build_cds() -> Sequence:
     rng = random.Random(SEED)
-    non_stop = sorted(c for c, aa in STANDARD_TABLE.entries.items() if aa != "*")
+    non_stop = sorted(c for c, aa in STANDARD_TABLE.items() if aa != "*")
     codons = [rng.choice(non_stop) for _ in range(N_CODONS)]
     codons[0] = "ATG"
     codons[-1] = "TGA"

@@ -68,7 +68,6 @@ from .seqio import (
 )
 from .translation import (
     STANDARD_TABLE,
-    CodonTable,
     aa_for,
     codon_at,
     translate,
@@ -82,7 +81,6 @@ __all__ = [
     "AlignmentResult",
     "AnnotationResult",
     "CodonMutation",
-    "CodonTable",
     "CompositionReport",
     "Database",
     "DEFAULT_GC_THRESHOLD",

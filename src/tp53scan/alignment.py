@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AlignmentTooLargeError, AlphabetMismatchError, EmptyInputError
+from .errors import AlignmentTooLargeError, AlphabetMismatchError
 from .seqio import Sequence
 
 GAP = "-"
@@ -465,7 +465,6 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
 
     Raises:
         AlphabetMismatchError: if the sequences use different alphabets.
-        EmptyInputError: if either sequence has no residues.
         AlignmentTooLargeError: if the band needs more than
             MAX_BAND_CELLS, or the scores could leave the exact float32
             range.
@@ -474,8 +473,6 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
         raise AlphabetMismatchError(
             f"cannot align {a.alphabet.value} against {b.alphabet.value}"
         )
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyInputError("both sequences must have at least one residue")
 
     n, m = len(a), len(b)
     _check_exact(n, m, scheme)

@@ -12,7 +12,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .errors import AllAmbiguousError
-from .seqio import DNA_RESIDUES, Alphabet, Sequence
+from .seqio import DNA_RESIDUES, Sequence, require_dna
 
 DEFAULT_GC_THRESHOLD = 38.0
 
@@ -57,12 +57,10 @@ def composition(seq: Sequence) -> CompositionReport:
     """Tally bases and compute GC% over the determined positions.
 
     Raises:
-        ValueError: if ``seq`` is not a DNA sequence.
+        AlphabetMismatchError: if ``seq`` is not a DNA sequence.
         AllAmbiguousError: if every base is ``N``.
     """
-    if seq.alphabet is not Alphabet.DNA:
-        raise ValueError(f"composition requires a DNA sequence, got {seq.alphabet.value}")
-
+    require_dna(seq, "composition")
     tally = seq.residue_counts
     if tally.get("N", 0) == len(seq):
         raise AllAmbiguousError(

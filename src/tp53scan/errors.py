@@ -49,6 +49,10 @@ class DuplicateIdError(ScanError):
         super().__init__(f"duplicate record id {record_id!r}")
 
 
+class AlphabetMismatchError(ScanError, ValueError):
+    """A sequence's alphabet does not fit the step it was given to."""
+
+
 # --- composition
 
 
@@ -57,14 +61,6 @@ class AllAmbiguousError(ScanError):
 
 
 # --- alignment
-
-
-class AlphabetMismatchError(ScanError):
-    pass
-
-
-class EmptyInputError(ScanError):
-    pass
 
 
 class AlignmentTooLargeError(ScanError):

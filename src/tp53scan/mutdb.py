@@ -10,6 +10,7 @@ first bad row aborts with its line number.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -47,6 +48,8 @@ class MutationRecord:
     extra: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not self.record_id:
+            raise ValueError("empty record_id")
         if self.codon_number < 1:
             raise ValueError(f"codon_number >= 1 violated: {self.codon_number}")
         check_codon("wt_codon", self.wt_codon)
@@ -153,8 +156,6 @@ def load_db(
             if "record_id" in positions
             else f"row{line_no}"
         )
-        if not record_id:
-            raise BadRowError(line_no, "empty record_id")
         if record_id in seen_ids:
             raise BadRowError(line_no, f"duplicate record_id {record_id!r}")
         seen_ids.add(record_id)
@@ -215,14 +216,11 @@ class FilterQuery:
                 raise ValueError(f"expected field=value, got {pair!r}")
             name = name.strip()
             if name == "codon":
-                try:
-                    clauses.append((name, int(value.strip())))
-                except ValueError:
-                    raise ValueError(
-                        f"codon clause needs an integer, got {value.strip()!r}"
-                    ) from None
-            else:
-                clauses.append((name, value))
+                # a non-integer passes through for __post_init__ to refuse
+                value = value.strip()
+                with suppress(ValueError):
+                    value = int(value)
+            clauses.append((name, value))
         return cls(clauses=tuple(clauses))
 
 

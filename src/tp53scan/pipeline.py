@@ -34,7 +34,7 @@ from .errors import (
 from .mutcall import MutationCallSet, MutationKind, call_mutations, protein_differs
 from .mutdb import AnnotationResult, Database, classify
 from .refstore import RankedCandidate, ReferenceEntry, ReferenceStore, best_homolog
-from .seqio import Alphabet, Sequence
+from .seqio import Alphabet, Sequence, require_dna
 
 TOOL_VERSION = "0.1.0"
 
@@ -187,12 +187,12 @@ def predict(
     from the accepted one's alignment.
 
     Raises:
+        AlphabetMismatchError: the subject is not DNA.
         NoReferenceAcceptedError: every candidate failed the GC gate.
         NotInFrameError: subject length is not a codon multiple and
             config.allow_partial is off.
     """
-    if subject.alphabet is not Alphabet.DNA:
-        raise ValueError(f"subject must be DNA, got {subject.alphabet.value}")
+    require_dna(subject, "predict")
     subject_used = _frame_check(subject, config.allow_partial)
 
     candidates = best_homolog(store, subject_used, gene, scheme=config.dna_scheme)
@@ -218,18 +218,15 @@ def predict(
     calls = call_mutations(accepted.alignment)
 
     annotations: AnnotationResult | None = None
-    if protein_differs(calls):
-        matched_ids: set[str] = set()
-        for m in calls.mutations:
-            if m.kind is MutationKind.SILENT:
-                continue
-            hit = classify(db, m)
-            if hit is not None:
-                matched_ids.update(r.record_id for r in hit.matches)
-        if matched_ids:
-            annotations = AnnotationResult(
-                tuple(r for r in db.records if r.record_id in matched_ids)
-            )
+    matched_ids: set[str] = set()
+    for m in calls.mutations:
+        hit = None if m.kind is MutationKind.SILENT else classify(db, m)
+        if hit is not None:
+            matched_ids.update(r.record_id for r in hit.matches)
+    if matched_ids:
+        annotations = AnnotationResult(
+            tuple(r for r in db.records if r.record_id in matched_ids)
+        )
 
     verdict = Verdict(
         mutations=calls,

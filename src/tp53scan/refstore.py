@@ -70,7 +70,7 @@ def load_store(directory: str | Path) -> ReferenceStore:
     (gene, source) pairs are rejected; FASTA parse errors propagate.
 
     Raises:
-        ManifestError: missing/malformed manifest, missing file, dup entry.
+        ManifestError: bad or missing manifest, missing file, dup or blank entry.
     """
     root = Path(directory)
     manifest = root / MANIFEST_NAME
@@ -119,9 +119,10 @@ def load_store(directory: str | Path) -> ReferenceStore:
                 f"{manifest}:{line_no}: {file_name!r} must hold exactly one "
                 f"record, found {len(doc)}"
             )
-        entries.append(
-            ReferenceEntry(source=source, gene=gene, sequence=doc[0], priority=priority)
-        )
+        try:
+            entries.append(ReferenceEntry(source, gene, doc[0], priority))
+        except ValueError as exc:
+            raise ManifestError(f"{manifest}:{line_no}: {exc}") from None
     if not entries:
         raise ManifestError(f"{manifest}: no entries")
     return ReferenceStore(entries=tuple(entries))

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    AlphabetMismatchError,
     DuplicateIdError,
     EmptyHeaderError,
     EmptyRecordError,
@@ -105,6 +106,14 @@ class Sequence:
         return index
 
 
+def require_dna(seq: Sequence, step: str) -> None:
+    """Raise AlphabetMismatchError, naming ``step``, unless ``seq`` is DNA."""
+    if seq.alphabet is not Alphabet.DNA:
+        raise AlphabetMismatchError(
+            f"{step} requires a DNA sequence, record {seq.id!r} is {seq.alphabet.value}"
+        )
+
+
 @dataclass(frozen=True)
 class FastaDocument:
     """Ordered FASTA records with unique ids."""
@@ -134,15 +143,14 @@ def parse_fasta(text: str | bytes, alphabet: Alphabet) -> FastaDocument:
 
     Lowercase residues are uppercased, internal whitespace inside sequence
     lines is dropped, \\r\\n line endings are accepted, and blank lines are
-    ignored. Raises MissingHeaderError, EmptyHeaderError, EmptyRecordError,
-    DuplicateIdError, or IllegalResidueError (with the record id and the
-    1-based position in the concatenated residue string).
+    ignored. Raises MissingHeaderError or EmptyHeaderError; the records' own
+    checks raise EmptyRecordError, IllegalResidueError (record id, 1-based
+    position in the joined residues) and, at the end, DuplicateIdError.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
 
     records: list[Sequence] = []
-    seen_ids: set[str] = set()
     header: tuple[str, str] | None = None
     chunks: list[str] = []
 
@@ -151,10 +159,7 @@ def parse_fasta(text: str | bytes, alphabet: Alphabet) -> FastaDocument:
         if header is None:
             return
         rec_id, desc = header
-        residues = "".join(chunks)
-        if not residues:
-            raise EmptyRecordError(rec_id)
-        records.append(Sequence(rec_id, desc, residues, alphabet))
+        records.append(Sequence(rec_id, desc, "".join(chunks), alphabet))
         header = None
         chunks = []
 
@@ -170,9 +175,6 @@ def parse_fasta(text: str | bytes, alphabet: Alphabet) -> FastaDocument:
             parts = head.split(None, 1)
             rec_id = parts[0]
             desc = parts[1].strip() if len(parts) > 1 else ""
-            if rec_id in seen_ids:
-                raise DuplicateIdError(rec_id)
-            seen_ids.add(rec_id)
             header = (rec_id, desc)
         else:
             if header is None:

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import OutOfRangeError, TooShortError
-from .seqio import Alphabet, Sequence
+from .seqio import Alphabet, Sequence, require_dna
 
-_STOP_CODONS = frozenset({"TAA", "TAG", "TGA"})
-
-# standard nuclear code, grouped by first then second base (T, C, A, G)
-_STANDARD_ENTRIES: dict[str, str] = {
+# the standard nuclear code, read-only: the 64 DNA codons to amino-acid
+# letters ('*' = stop), grouped by first then second base (T, C, A, G)
+STANDARD_TABLE: Mapping[str, str] = MappingProxyType({
     "TTT": "F", "TTC": "F", "TTA": "L", "TTG": "L",
     "TCT": "S", "TCC": "S", "TCA": "S", "TCG": "S",
     "TAT": "Y", "TAC": "Y", "TAA": "*", "TAG": "*",
@@ -29,54 +28,26 @@ _STANDARD_ENTRIES: dict[str, str] = {
     "GCT": "A", "GCC": "A", "GCA": "A", "GCG": "A",
     "GAT": "D", "GAC": "D", "GAA": "E", "GAG": "E",
     "GGT": "G", "GGC": "G", "GGA": "G", "GGG": "G",
-}
+})
 
 
 class TrailingResiduesWarning(UserWarning):
     """Translation dropped 1 or 2 residues left over after the last codon."""
 
 
-@dataclass(frozen=True)
-class CodonTable:
-    """Total map from the 64 DNA codons to amino-acid letters ('*' = stop)."""
-
-    entries: Mapping[str, str] = field(default_factory=lambda: dict(_STANDARD_ENTRIES))
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != 64:
-            raise ValueError(f"codon table needs 64 entries, got {len(self.entries)}")
-        for codon, aa in self.entries.items():
-            if len(codon) != 3 or any(ch not in "ACGT" for ch in codon):
-                raise ValueError(f"bad codon key {codon!r}")
-            if len(aa) != 1:
-                raise ValueError(f"bad amino-acid value {aa!r} for {codon}")
-        stops = {c for c, aa in self.entries.items() if aa == "*"}
-        if stops != _STOP_CODONS:
-            raise ValueError(f"stop codons must be TAA/TAG/TGA, got {sorted(stops)}")
-        if self.entries["ATG"] != "M":
-            raise ValueError("ATG must encode M")
-
-
-STANDARD_TABLE = CodonTable()
-
-
-def aa_for(codon: str, table: CodonTable = STANDARD_TABLE) -> str:
+def aa_for(codon: str) -> str:
     """Amino-acid letter for one codon; any N makes the call ambiguous."""
     if len(codon) != 3:
         raise ValueError(f"codon must have 3 residues, got {codon!r}")
     if "N" in codon:
         return "X"
     try:
-        return table.entries[codon]
+        return STANDARD_TABLE[codon]
     except KeyError:
         raise ValueError(f"unknown codon {codon!r}") from None
 
 
-def translate(
-    cds: Sequence,
-    frame: int = 0,
-    table: CodonTable = STANDARD_TABLE,
-) -> Sequence:
+def translate(cds: Sequence, frame: int = 0) -> Sequence:
     """Translate consecutive codons starting at ``frame``.
 
     Stops are emitted as '*' and translation continues past them, so
@@ -84,10 +55,10 @@ def translate(
     residues are dropped with a TrailingResiduesWarning.
 
     Raises:
+        AlphabetMismatchError: if ``cds`` is not a DNA sequence.
         TooShortError: if fewer than 3 residues remain after the frame offset.
     """
-    if cds.alphabet is not Alphabet.DNA:
-        raise ValueError(f"translate requires a DNA sequence, got {cds.alphabet.value}")
+    require_dna(cds, "translate")
     if frame not in (0, 1, 2):
         raise ValueError(f"frame must be 0, 1 or 2, got {frame}")
     usable = len(cds) - frame
@@ -103,7 +74,7 @@ def translate(
             stacklevel=2,
         )
     body = cds.residues[frame : frame + usable - leftover]
-    protein = "".join(aa_for(body[k : k + 3], table) for k in range(0, len(body), 3))
+    protein = "".join(aa_for(body[k : k + 3]) for k in range(0, len(body), 3))
     return Sequence(
         id=cds.id,
         description=cds.description,

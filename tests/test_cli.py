@@ -239,6 +239,16 @@ def test_predict_needs_single_record(tmp_path, capsys):
     assert "RecordCountError" in capsys.readouterr().err
 
 
+def test_predict_blank_manifest_source_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "ref.fasta").write_bytes(Path(REFERENCE).read_bytes())
+    (tmp_path / "manifest.tsv").write_text(
+        "file\tgene\tsource\tpriority\nref.fasta\tTP53\t\t1\n", encoding="utf-8"
+    )
+    assert run(["predict", SUBJECT, "--refstore", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ManifestError" in err and "manifest.tsv:2: source must be non-empty" in err
+
+
 def test_predict_unknown_gene(capsys):
     assert run(["predict", SUBJECT, "--gene", "BRCA1"]) == 1
     assert "GeneNotFoundError" in capsys.readouterr().err

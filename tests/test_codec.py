@@ -247,6 +247,11 @@ def test_malformed_payloads_raise_report_format_error(bundled_payload):
             "hello",
             r"annotations\.matches\[0\]: wt_aa must be one amino-acid letter",
         ),
+        (
+            ("verdict", "annotations", "matches", 0, "record_id"),
+            "",
+            r"annotations\.matches\[0\]: empty record_id$",
+        ),
     ],
 )
 def test_bad_values_name_their_path(bundled_payload, path, value, message):
@@ -340,7 +345,7 @@ def codon_mutations(draw):
 def mutation_records(draw):
     wt = draw(CODONS)
     return MutationRecord(
-        record_id=draw(st.text()),
+        record_id=draw(st.text(min_size=1)),
         codon_number=draw(st.integers(min_value=1)),
         wt_codon=wt,
         mut_codon=draw(CODONS.filter(lambda c: c != wt)),

@@ -101,6 +101,7 @@ def test_bad_row_equal_codons(tmp_path):
         ("a\t10\tCGG\tTG\tR\tW\tBreast carcinoma", "mut_codon must be a 3-letter DNA codon"),
         ("a\t10\tCGG\tTGG\tArg\tW\tBreast carcinoma", "wt_aa must be one amino-acid letter"),
         ("a\t10\tCGG\tTGG\tR\t \tBreast carcinoma", "mut_aa must be one amino-acid letter"),
+        (" \t10\tCGG\tTGG\tR\tW\tBreast carcinoma", "^line 3: empty record_id$"),
     ],
 )
 def test_bad_row_codon_and_aa_rules(tmp_path, row, message):
@@ -118,7 +119,7 @@ def test_record_checks_its_own_codons_and_aas():
     assert MutationRecord(**good).wt_codon == "CGG"
     for name, bad in [
         ("wt_codon", "xyz"), ("wt_codon", "cgg"), ("mut_codon", "TGGA"),
-        ("wt_aa", "hello"), ("mut_aa", ""),
+        ("wt_aa", "hello"), ("mut_aa", ""), ("record_id", ""),
     ]:
         with pytest.raises(ValueError, match=name):
             MutationRecord(**{**good, name: bad})

@@ -7,6 +7,7 @@ import pytest
 from tp53scan import mutcall, refstore
 from tp53scan.composition import GateDecision, composition, reference_gate
 from tp53scan.errors import (
+    AlphabetMismatchError,
     NoReferenceAcceptedError,
     NotInFrameError,
     ReportFormatError,
@@ -27,6 +28,7 @@ from tp53scan.pipeline import (
     report_to_dict,
 )
 from tp53scan.seqio import Alphabet, Sequence
+from tp53scan.translation import translate
 
 from support import dna, low_gc_pair, write_store
 
@@ -137,6 +139,18 @@ def test_protein_subject_rejected(tmp_path, db):
     )
     with pytest.raises(ValueError):
         predict(store, db, protein, "TP53")
+
+
+@pytest.mark.parametrize("step", ["predict", "composition", "translate"])
+def test_dna_steps_refuse_protein_by_name(tmp_path, db, step):
+    protein = Sequence(id="p", description="", residues="MLP", alphabet=Alphabet.PROTEIN)
+    run = {
+        "predict": lambda: predict(tiny_store(tmp_path), db, protein, "TP53"),
+        "composition": lambda: composition(protein),
+        "translate": lambda: translate(protein),
+    }[step]
+    with pytest.raises(AlphabetMismatchError, match=rf"^{step} requires a DNA sequence"):
+        run()
 
 
 def test_gc_threshold_config_is_honored(tmp_path, db):

@@ -99,6 +99,21 @@ def test_multi_record_fasta_rejected(tmp_path):
         load_store(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "gene, source, message", [("TP53", "", "source"), ("", "src", "gene")]
+)
+def test_blank_manifest_cell_names_its_line(tmp_path, gene, source, message):
+    (tmp_path / "a.fasta").write_text(">a\nATGAAA\n", encoding="utf-8")
+    (tmp_path / "manifest.tsv").write_text(
+        "file\tgene\tsource\tpriority\n"
+        "a.fasta\tTP53\tok\t1\n"
+        f"a.fasta\t{gene}\t{source}\t2\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ManifestError, match=rf"manifest\.tsv:3: {message} must be non-empty$"):
+        load_store(tmp_path)
+
+
 def test_entry_validation():
     seq = dna("ACGT")
     with pytest.raises(ValueError):

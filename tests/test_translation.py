@@ -10,7 +10,6 @@ from tp53scan.errors import OutOfRangeError, TooShortError
 from tp53scan.seqio import Alphabet, Sequence
 from tp53scan.translation import (
     STANDARD_TABLE,
-    CodonTable,
     TrailingResiduesWarning,
     aa_for,
     codon_at,
@@ -37,7 +36,7 @@ def test_table_matches_reference_listing():
 
 
 def test_exactly_three_stops():
-    stops = {c for c, aa in STANDARD_TABLE.entries.items() if aa == "*"}
+    stops = {c for c, aa in STANDARD_TABLE.items() if aa == "*"}
     assert stops == {"TAA", "TAG", "TGA"}
 
 
@@ -56,13 +55,10 @@ def test_n_codon_is_ambiguous():
     assert aa_for("NNN") == "X"
 
 
-def test_table_validation_rejects_broken_tables():
-    entries = dict(STANDARD_TABLE.entries)
-    entries["TGG"] = "*"  # four stops now
-    with pytest.raises(ValueError):
-        CodonTable(entries=entries)
-    with pytest.raises(ValueError):
-        CodonTable(entries={"ATG": "M"})
+def test_standard_table_is_read_only():
+    with pytest.raises(TypeError):
+        STANDARD_TABLE["TGG"] = "*"
+    assert len(STANDARD_TABLE) == 64 and STANDARD_TABLE["TGG"] == "W"
 
 
 def test_translate_start_codon():
