@@ -106,9 +106,6 @@ class AlignmentResult:
     def degapped_a(self) -> str:
         return self.aligned_a.replace(GAP, "")
 
-    def degapped_b(self) -> str:
-        return self.aligned_b.replace(GAP, "")
-
 
 def _fill_band(
     a: str, b: str, scheme: ScoringScheme, slack: int

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .alignment import (
     DNA_SCHEME,
     PROTEIN_SCHEME,
     AlignOp,
     AlignmentResult,
-    ScoringScheme,
     align_global,
     identity_percent,
 )
@@ -32,15 +32,7 @@ from .seqio import Alphabet, FastaDocument, read_fasta, write_fasta
 from .translation import translate
 
 WRAP = 60
-
-
-def _scheme_from_args(args: argparse.Namespace, base: ScoringScheme) -> ScoringScheme:
-    return ScoringScheme(
-        match=base.match if args.match is None else args.match,
-        mismatch=base.mismatch if args.mismatch is None else args.mismatch,
-        gap_open=base.gap_open if args.gap_open is None else args.gap_open,
-        gap_extend=base.gap_extend if args.gap_extend is None else args.gap_extend,
-    )
+SCHEME_FIELDS = ("match", "mismatch", "gap_open", "gap_extend")
 
 
 def _emit(payload: dict, text: str, output: str) -> None:
@@ -109,7 +101,10 @@ def _alignment_blocks(result: AlignmentResult) -> str:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     protein = args.alphabet == "protein"
-    scheme = _scheme_from_args(args, PROTEIN_SCHEME if protein else DNA_SCHEME)
+    scheme = replace(
+        PROTEIN_SCHEME if protein else DNA_SCHEME,
+        **{k: getattr(args, k) for k in SCHEME_FIELDS if getattr(args, k) is not None},
+    )
     doc = read_fasta(args.fasta, Alphabet.PROTEIN if protein else Alphabet.DNA)
     if len(doc) != 2:
         raise RecordCountError(f"align needs exactly 2 records, found {len(doc)}")
@@ -166,10 +161,9 @@ def _callset_text(ref_id: str, subj_id: str, calls: MutationCallSet) -> str:
 
 
 def _cmd_call(args: argparse.Namespace) -> int:
-    scheme = _scheme_from_args(args, DNA_SCHEME)
     ref = read_fasta(args.ref_fasta, Alphabet.DNA)[0]
     subj = read_fasta(args.subj_fasta, Alphabet.DNA)[0]
-    calls = call_mutations(align_global(ref, subj, scheme))
+    calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     payload = {"reference": ref.id, "subject": subj.id, **to_dict(calls)}
     _emit(payload, _callset_text(ref.id, subj.id, calls), args.output)
     return 0
@@ -192,7 +186,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    scheme = _scheme_from_args(args, DNA_SCHEME)
     store = load_store(args.refstore)
     db = load_db(args.db)
     doc = read_fasta(args.subj_fasta, Alphabet.DNA)
@@ -200,7 +193,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise RecordCountError(f"predict needs exactly 1 record, found {len(doc)}")
     config = PipelineConfig(
         gc_threshold=args.threshold,
-        dna_scheme=scheme,
         allow_partial=args.allow_partial,
     )
     report = predict(store, db, doc[0], args.gene, config)
@@ -215,13 +207,6 @@ def _add_output_flag(sub: argparse.ArgumentParser) -> None:
         default="text",
         help="report format (default: text)",
     )
-
-
-def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--match", type=int, default=None, help="match score")
-    sub.add_argument("--mismatch", type=int, default=None, help="mismatch score")
-    sub.add_argument("--gap-open", type=int, default=None, help="gap open penalty")
-    sub.add_argument("--gap-extend", type=int, default=None, help="gap extend penalty")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphabet", choices=("dna", "protein"), default="dna",
         help="residue alphabet (default: dna)",
     )
-    _add_scheme_flags(p_align)
+    for name in SCHEME_FIELDS:
+        p_align.add_argument(
+            "--" + name.replace("_", "-"), type=int, default=None,
+            help=f"{name.replace('_', ' ')} score (default: the alphabet's scheme)",
+        )
     _add_output_flag(p_align)
     p_align.set_defaults(handler=_cmd_align)
 
@@ -274,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_call.add_argument("ref_fasta", help="reference DNA FASTA")
     p_call.add_argument("subj_fasta", help="subject DNA FASTA")
-    _add_scheme_flags(p_call)
     _add_output_flag(p_call)
     p_call.set_defaults(handler=_cmd_call)
 
@@ -320,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-partial", action="store_true",
         help="truncate a subject whose length is not a codon multiple",
     )
-    _add_scheme_flags(p_pred)
     _add_output_flag(p_pred)
     p_pred.set_defaults(handler=_cmd_predict)
     return parser

@@ -58,15 +58,15 @@ def composition(seq: Sequence) -> CompositionReport:
 
     Raises:
         AlphabetMismatchError: if ``seq`` is not a DNA sequence.
-        AllAmbiguousError: if every base is ``N``.
+        AllAmbiguousError: if every base is ``N`` (the report's own
+            check, with the record named).
     """
     require_dna(seq, "composition")
     tally = seq.residue_counts
-    if tally.get("N", 0) == len(seq):
-        raise AllAmbiguousError(
-            f"record {seq.id!r} contains no determined bases (all N)"
-        )
-    return CompositionReport(counts={base: tally.get(base, 0) for base in "ACGTN"})
+    try:
+        return CompositionReport(counts={base: tally.get(base, 0) for base in "ACGTN"})
+    except ValueError as exc:
+        raise AllAmbiguousError(f"record {seq.id!r}: {exc}") from None
 
 
 def check_threshold(threshold_percent: float) -> None:

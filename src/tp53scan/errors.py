@@ -12,6 +12,13 @@ class ScanError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+# --- input files
+
+
+class InputEncodingError(ScanError):
+    """An input file is not UTF-8 text. The message names the file and line."""
+
+
 # --- FASTA parsing
 
 

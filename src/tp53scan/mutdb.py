@@ -2,9 +2,8 @@
 
 The file needs a header row naming at least codon, wt_codon, mut_codon,
 wt_aa, mut_aa and tumor_type; other columns ride along as extra fields
-and stay queryable. A column-mapping config lets differently named
-exports load without editing the file. Loading is all-or-nothing: the
-first bad row aborts with its line number.
+and stay queryable. Loading is all-or-nothing: the first bad row
+aborts with its line number.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     BadRowError,
@@ -22,6 +21,7 @@ from .errors import (
     UnknownFieldError,
 )
 from .mutcall import CodonMutation, MutationKind, check_codon
+from .seqio import read_text
 
 REQUIRED_COLUMNS = ("codon", "wt_codon", "mut_codon", "wt_aa", "mut_aa", "tumor_type")
 OPTIONAL_COLUMNS = ("record_id", "mutation_event")
@@ -77,7 +77,6 @@ class Database:
 
     records: tuple[MutationRecord, ...]
     extra_columns: tuple[str, ...] = ()
-    source_path: str | None = None
 
     def __post_init__(self) -> None:
         index: dict[int, list[int]] = {}
@@ -98,14 +97,8 @@ class Database:
         return self._codon_index.get(codon_number, ())
 
 
-def load_db(
-    path: str | Path,
-    column_map: Mapping[str, str] | None = None,
-) -> Database:
+def load_db(path: str | Path) -> Database:
     """Load a TSV mutation database, rejecting any malformed row.
-
-    ``column_map`` renames headers on the way in: keys are the canonical
-    names above, values are whatever the file calls them.
 
     Codon and amino-acid cells are stripped and upper-cased; the
     record's own checks then decide whether the row is well formed.
@@ -115,13 +108,11 @@ def load_db(
         BadRowError: a data row is malformed (carries the 1-based line).
         EmptyDatabaseError: the file holds a header but no data rows.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].strip():
         raise MissingColumnError(REQUIRED_COLUMNS[0])
 
-    rename = {v: k for k, v in (column_map or {}).items()}
-    header = [rename.get(h.strip(), h.strip()) for h in lines[0].split("\t")]
+    header = [h.strip() for h in lines[0].split("\t")]
     positions: dict[str, int] = {}
     for pos, name in enumerate(header):
         if name in positions:
@@ -184,7 +175,6 @@ def load_db(
     return Database(
         records=tuple(records),
         extra_columns=extra_columns,
-        source_path=str(path),
     )
 
 

@@ -15,7 +15,6 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Any
 
-from .alignment import DNA_SCHEME, ScoringScheme
 from .composition import (
     DEFAULT_GC_THRESHOLD,
     CompositionReport,
@@ -134,7 +133,6 @@ class PredictionReport:
 @dataclass(frozen=True)
 class PipelineConfig:
     gc_threshold: float = DEFAULT_GC_THRESHOLD
-    dna_scheme: ScoringScheme = field(default_factory=lambda: DNA_SCHEME)
     allow_partial: bool = False
 
     def __post_init__(self) -> None:
@@ -195,7 +193,7 @@ def predict(
     require_dna(subject, "predict")
     subject_used = _frame_check(subject, config.allow_partial)
 
-    candidates = best_homolog(store, subject_used, gene, scheme=config.dna_scheme)
+    candidates = best_homolog(store, subject_used, gene)
     trace: list[GateAttempt] = []
     accepted: RankedCandidate | None = None
     gc_report: CompositionReport | None = None

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alignment import DNA_SCHEME, AlignmentResult, ScoringScheme, align_global
+from .alignment import DNA_SCHEME, AlignmentResult, align_global
 from .errors import GeneNotFoundError, ManifestError
-from .seqio import Alphabet, Sequence, read_fasta
+from .seqio import Alphabet, Sequence, read_fasta, read_text
 
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_COLUMNS = ("file", "gene", "source", "priority")
@@ -53,12 +53,6 @@ class ReferenceStore:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def genes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for entry in self.entries:
-            seen.setdefault(entry.gene)
-        return tuple(seen)
-
     def entries_for(self, gene: str) -> tuple[ReferenceEntry, ...]:
         return tuple(e for e in self.entries if e.gene == gene)
 
@@ -77,7 +71,7 @@ def load_store(directory: str | Path) -> ReferenceStore:
     if not manifest.is_file():
         raise ManifestError(f"{manifest}: manifest not found")
 
-    lines = manifest.read_text(encoding="utf-8-sig").splitlines()
+    lines = read_text(manifest).splitlines()
     if not lines or not lines[0].strip():
         raise ManifestError(f"{manifest}: empty manifest")
     header = tuple(h.strip() for h in lines[0].split("\t"))
@@ -132,12 +126,12 @@ def best_homolog(
     store: ReferenceStore,
     query: Sequence,
     gene: str,
-    scheme: ScoringScheme = DNA_SCHEME,
 ) -> tuple[RankedCandidate, ...]:
     """Rank a gene's entries by similarity to the query, best first.
 
     Scores come from global alignment of each whole entry against the
-    whole query; the score does not depend on the order. Ties go to the
+    whole query under ``DNA_SCHEME``, the one scheme ranking and calling
+    use; the score does not depend on the order. Ties go to the
     lower priority number; remaining ties keep manifest order.
 
     Raises:
@@ -149,7 +143,7 @@ def best_homolog(
         raise GeneNotFoundError(gene)
 
     ranked = [
-        RankedCandidate(entry, align_global(entry.sequence, query, scheme))
+        RankedCandidate(entry, align_global(entry.sequence, query, DNA_SCHEME))
         for entry in candidates
     ]
     ranked.sort(key=lambda c: (-c.alignment.score, c.entry.priority))

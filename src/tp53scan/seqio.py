@@ -19,6 +19,7 @@ from .errors import (
     EmptyHeaderError,
     EmptyRecordError,
     IllegalResidueError,
+    InputEncodingError,
     MissingHeaderError,
 )
 
@@ -143,12 +144,14 @@ def parse_fasta(text: str | bytes, alphabet: Alphabet) -> FastaDocument:
 
     Lowercase residues are uppercased, internal whitespace inside sequence
     lines is dropped, \\r\\n line endings are accepted, and blank lines are
-    ignored. Raises MissingHeaderError or EmptyHeaderError; the records' own
-    checks raise EmptyRecordError, IllegalResidueError (record id, 1-based
-    position in the joined residues) and, at the end, DuplicateIdError.
+    ignored. Bytes are decoded as read_text decodes a file. Raises
+    InputEncodingError, MissingHeaderError or EmptyHeaderError; the records'
+    own checks raise EmptyRecordError, IllegalResidueError (record id,
+    1-based position in the joined residues) and, at the end,
+    DuplicateIdError.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = _decode(text, "<bytes>")
 
     records: list[Sequence] = []
     header: tuple[str, str] | None = None
@@ -204,5 +207,27 @@ def write_fasta(doc: FastaDocument, width: int = 60) -> str:
     return "".join(parts)
 
 
+def _decode(data: bytes, source: str) -> str:
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any mark, which holds no newline
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputEncodingError(
+            f"{source}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8"
+        ) from None
+
+
+def read_text(path: str | Path) -> str:
+    """The whole text of an input file, decoded as UTF-8; a leading
+    byte-order mark is dropped. FASTA files, the store manifest and the
+    mutation database are all read through here.
+
+    Raises:
+        InputEncodingError: the file is not UTF-8 (names the path and line).
+    """
+    return _decode(Path(path).read_bytes(), str(path))
+
+
 def read_fasta(path: str | Path, alphabet: Alphabet) -> FastaDocument:
-    return parse_fasta(Path(path).read_text(encoding="utf-8"), alphabet)
+    return parse_fasta(read_text(path), alphabet)

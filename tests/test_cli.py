@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import tp53scan.cli
 import tp53scan.mutcall
 import tp53scan.refstore
-from tp53scan.cli import main, run
+from tp53scan.cli import build_parser, main, run
 from tp53scan.datafiles import (
     bundled_db_path,
     bundled_homolog_path,
@@ -47,6 +49,14 @@ def test_gc_json_output(capsys):
     rec = payload["records"][0]
     assert rec["decision"] == "Accept"
     assert abs(rec["gc_percent"] - 54.85) < 0.01
+
+
+def test_gc_names_a_fasta_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.fasta"
+    path.write_bytes(b">ok\nACGT\n>caf\xe9 header\nACGT\n")
+    assert run(["gc", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"InputEncodingError: {path}:3: byte 0xe9 is not UTF-8" in err
 
 
 def test_gc_extremes_and_threshold_flag(tmp_path, capsys):
@@ -212,6 +222,17 @@ def test_query_unknown_field(capsys):
     assert "UnknownFieldError" in capsys.readouterr().err
 
 
+def test_query_names_a_db_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "db.tsv"
+    path.write_bytes(
+        b"codon\twt_codon\tmut_codon\twt_aa\tmut_aa\ttumor_type\n"
+        b"248\tCGG\tTGG\tR\tW\tBreast\n"
+        b"249\tAGG\tAGT\tR\tS\tH\xe9patocellular\n"
+    )
+    assert run(["query", "--db", str(path)]) == 1
+    assert f"InputEncodingError: {path}:3: byte 0xe9" in capsys.readouterr().err
+
+
 def test_query_missing_db(tmp_path, capsys):
     assert run(["query", "--db", str(tmp_path / "nope.tsv")]) == 1
     assert "FileNotFoundError" in capsys.readouterr().err
@@ -247,6 +268,24 @@ def test_predict_blank_manifest_source_is_a_data_error(tmp_path, capsys):
     assert run(["predict", SUBJECT, "--refstore", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "ManifestError" in err and "manifest.tsv:2: source must be non-empty" in err
+
+
+def test_predict_names_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "ref.fasta").write_bytes(Path(REFERENCE).read_bytes())
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"file\tgene\tsource\tpriority\nref.fasta\tTP53\tncbi-\xe9\t1\n")
+    assert run(["predict", SUBJECT, "--refstore", str(tmp_path)]) == 1
+    assert f"InputEncodingError: {manifest}:2: byte 0xe9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["predict", SUBJECT, "--gap-open", "0"], ["call", REFERENCE, SUBJECT, "--match", "3"]],
+    ids=["predict", "call"],
+)
+def test_ranking_and_calling_take_no_scheme_flags(argv, capsys):
+    assert run(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_predict_unknown_gene(capsys):
@@ -315,6 +354,34 @@ def test_cli_imports_no_private_names():
                 if alias.name.split(".")[0] == "tp53scan":
                     imported += alias.name.split(".")
     assert [name for name in imported if name.startswith("_")] == []
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    options: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("tp53scan "):
+            command = line.split()[1]
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_cli_surface_matches_readme_synopsis():
+    """Every subcommand's options are exactly those its README synopsis
+    lists, plus --output and --help, which the README gives once for all
+    subcommands."""
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    documented = {name: opts | {"--output"} for name, opts in _readme_synopsis().items()}
+    assert parsed == documented
 
 
 def test_bundled_paths_exist():

@@ -53,6 +53,11 @@ def test_all_ambiguous_rejected():
         composition(dna("NNNN"))
 
 
+def test_all_ambiguous_names_the_record():
+    with pytest.raises(AllAmbiguousError, match="^record 'allN': counts hold no determined bases$"):
+        composition(dna("NNN", "allN"))
+
+
 def test_report_is_derived_from_counts():
     report = CompositionReport({"A": 1, "C": 2, "G": 3, "T": 4, "N": 5})
     assert (report.gc_percent, report.at_percent, report.length) == (50.0, 50.0, 15)

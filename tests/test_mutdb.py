@@ -53,7 +53,6 @@ def test_small_fixture_happy_path(tmp_path):
     db = load_db(path)
     assert len(db) == 3
     assert db.records[1].codon_number == 11
-    assert db.source_path == str(path)
 
 
 def test_missing_required_column(tmp_path):
@@ -162,27 +161,6 @@ def test_record_id_synthesized_when_absent(tmp_path):
     assert db.records[0].record_id == "row2"
 
 
-def test_column_mapping_renames_headers(tmp_path):
-    path = write_tsv(
-        tmp_path / "db.tsv",
-        "10\tCGG\tTGG\tR\tW\tBreast carcinoma",
-        header="Codon\tWT_Codon\tMutant_Codon\tWT_AA\tMutant_AA\tCancer",
-    )
-    db = load_db(
-        path,
-        column_map={
-            "codon": "Codon",
-            "wt_codon": "WT_Codon",
-            "mut_codon": "Mutant_Codon",
-            "wt_aa": "WT_AA",
-            "mut_aa": "Mutant_AA",
-            "tumor_type": "Cancer",
-        },
-    )
-    assert db.records[0].codon_number == 10
-    assert db.records[0].tumor_type == "Breast carcinoma"
-
-
 def test_codons_normalized_to_uppercase(tmp_path):
     path = write_tsv(tmp_path / "db.tsv", "a\t10\tcgg\ttgg\tr\tw\tBreast carcinoma")
     rec = load_db(path).records[0]
@@ -286,7 +264,7 @@ def test_classify_rejects_silent(db):
 
 
 def test_classify_on_empty_schema_db():
-    empty = Database(records=(), extra_columns=(), source_path=None)
+    empty = Database(records=(), extra_columns=())
     assert classify(empty, r248w()) is None
 
 

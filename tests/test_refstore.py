@@ -17,7 +17,7 @@ from support import dna, write_store
 
 
 def test_bundled_store_shape(store):
-    assert store.genes() == ("TP53",)
+    assert {e.gene for e in store.entries} == {"TP53"}
     entries = store.entries_for("TP53")
     assert [(e.source, e.priority) for e in entries] == [
         ("ncbi-export", 1),
@@ -31,7 +31,7 @@ def test_write_and_load_round_trip(tmp_path):
         tmp_path / "store",
         [("TP53", "a", 1, dna("ATGAAA", "x")), ("BRCA1", "b", 2, dna("ATGCCC", "y"))],
     )
-    assert store.genes() == ("TP53", "BRCA1")
+    assert [e.gene for e in store.entries] == ["TP53", "BRCA1"]
     assert store.entries_for("BRCA1")[0].sequence.residues == "ATGCCC"
 
 

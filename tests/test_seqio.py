@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from tp53scan.errors import (
     EmptyHeaderError,
     EmptyRecordError,
     IllegalResidueError,
+    InputEncodingError,
     MissingHeaderError,
 )
 from tp53scan.seqio import (
@@ -16,6 +19,8 @@ from tp53scan.seqio import (
     FastaDocument,
     Sequence,
     parse_fasta,
+    read_fasta,
+    read_text,
     write_fasta,
 )
 
@@ -53,6 +58,26 @@ def test_whitespace_inside_sequence_lines_dropped():
 def test_bytes_input_accepted():
     doc = parse_fasta(b">a\nACGT\n", Alphabet.DNA)
     assert doc[0].residues == "ACGT"
+
+
+def test_bom_prefixed_fasta_parses(tmp_path):
+    path = tmp_path / "bom.fasta"
+    path.write_bytes(b"\xef\xbb\xbf>a first\r\nACGT\r\n")
+    for doc in (read_fasta(path, Alphabet.DNA), parse_fasta(path.read_bytes(), Alphabet.DNA)):
+        assert [(r.id, r.description, r.residues) for r in doc] == [("a", "first", "ACGT")]
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_non_utf8_file_names_its_path_and_line(tmp_path, bom):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(bom + b"a\n\nb\xff\n")
+    with pytest.raises(InputEncodingError, match=f"{re.escape(str(path))}:3: byte 0xff"):
+        read_text(path)
+
+
+def test_non_utf8_bytes_raise_a_named_error():
+    with pytest.raises(InputEncodingError, match="^<bytes>:2: byte 0xe9 is not UTF-8$"):
+        parse_fasta(b">a\n>caf\xe9\nACGT\n", Alphabet.DNA)
 
 
 def test_illegal_residue_position_is_concatenated_and_one_based():
