@@ -9,9 +9,11 @@ aborts with its line number.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import (
@@ -20,11 +22,12 @@ from .errors import (
     MissingColumnError,
     UnknownFieldError,
 )
-from .mutcall import CodonMutation, MutationKind, check_codon
-from .seqio import read_text
+from .mutcall import MutationCallSet, MutationKind, check_codon
+from .seqio import PROTEIN_RESIDUES, read_text
 
 REQUIRED_COLUMNS = ("codon", "wt_codon", "mut_codon", "wt_aa", "mut_aa", "tumor_type")
 OPTIONAL_COLUMNS = ("record_id", "mutation_event")
+COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
 
 
 class WtCodonMismatchWarning(UserWarning):
@@ -35,8 +38,11 @@ def _norm(text: str) -> str:
     return text.strip().casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutationRecord:
+    """One database row. ``extra`` holds the columns beyond ``COLUMNS``,
+    kept as a read-only copy so a shared database cannot be rewritten."""
+
     record_id: str
     codon_number: int = field(metadata={"wire": "codon"})
     wt_codon: str
@@ -45,9 +51,10 @@ class MutationRecord:
     mut_aa: str
     mutation_event: str
     tumor_type: str
-    extra: dict[str, str] = field(default_factory=dict)
+    extra: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "extra", MappingProxyType(dict(self.extra)))
         if not self.record_id:
             raise ValueError("empty record_id")
         if self.codon_number < 1:
@@ -58,15 +65,14 @@ class MutationRecord:
             raise ValueError(f"record {self.record_id!r}: wt and mut codons are equal")
         for name in ("wt_aa", "mut_aa"):
             aa = getattr(self, name)
-            if len(aa) != 1:
+            if aa not in PROTEIN_RESIDUES:
                 raise ValueError(f"{name} must be one amino-acid letter, got {aa!r}")
 
     def field_text(self, name: str) -> str:
         """Raw text for one queryable field (codon rendered as decimal)."""
         if name == "codon":
             return str(self.codon_number)
-        if name in ("record_id", "wt_codon", "mut_codon", "wt_aa", "mut_aa",
-                    "mutation_event", "tumor_type"):
+        if name in COLUMNS:
             return getattr(self, name)
         return self.extra[name]
 
@@ -91,7 +97,7 @@ class Database:
 
     @property
     def queryable_fields(self) -> frozenset[str]:
-        return frozenset(REQUIRED_COLUMNS + OPTIONAL_COLUMNS) | set(self.extra_columns)
+        return frozenset(COLUMNS) | set(self.extra_columns)
 
     def rows_at_codon(self, codon_number: int) -> tuple[int, ...]:
         return self._codon_index.get(codon_number, ())
@@ -121,10 +127,7 @@ def load_db(path: str | Path) -> Database:
     for name in REQUIRED_COLUMNS:
         if name not in positions:
             raise MissingColumnError(name)
-    extra_columns = tuple(
-        name for name in header
-        if name not in REQUIRED_COLUMNS and name not in OPTIONAL_COLUMNS
-    )
+    extra_columns = tuple(name for name in header if name not in COLUMNS)
 
     records: list[MutationRecord] = []
     seen_ids: set[str] = set()
@@ -257,31 +260,31 @@ def query(db: Database, q: FilterQuery) -> AnnotationResult:
     return AnnotationResult(tuple(rec for rec in candidates if _matches(rec, q)))
 
 
-def classify(db: Database, m: CodonMutation) -> AnnotationResult | None:
-    """Look up a called mutation by (codon number, mutated codon).
+def classify(db: Database, calls: MutationCallSet) -> AnnotationResult | None:
+    """Look up every non-silent call by (codon number, mutated codon).
 
-    Returns the annotation on a hit, None when the database is silent on
-    this change. A hit whose wild-type codon disagrees with the caller's
+    Returns the hits in file order, None when the database is silent on
+    every change. A hit whose wild-type codon disagrees with the call's
     reference codon is kept but flagged with a warning, since databases
-    may number against a different transcript.
-
-    Raises:
-        ValueError: for Silent input (there is nothing to look up).
+    may number against a different transcript. Call codon numbers are
+    unique, so each row is visited at most once.
     """
-    if m.kind is MutationKind.SILENT:
-        raise ValueError("silent changes are not database-searchable")
-    result = query(
-        db,
-        FilterQuery(clauses=(("codon", m.codon_number), ("mut_codon", m.alt_codon))),
-    )
-    if not result.matches:
+    rows: list[int] = []
+    for m in calls.mutations:
+        if m.kind is MutationKind.SILENT:
+            continue
+        for pos in db.rows_at_codon(m.codon_number):
+            rec = db.records[pos]
+            if rec.mut_codon != m.alt_codon:
+                continue
+            if rec.wt_codon != m.ref_codon:
+                warnings.warn(
+                    f"record {rec.record_id!r} lists wt codon {rec.wt_codon} at "
+                    f"codon {m.codon_number}, caller saw {m.ref_codon}",
+                    WtCodonMismatchWarning,
+                    stacklevel=2,
+                )
+            rows.append(pos)
+    if not rows:
         return None
-    for rec in result.matches:
-        if rec.wt_codon != m.ref_codon:
-            warnings.warn(
-                f"record {rec.record_id!r} lists wt codon {rec.wt_codon} at "
-                f"codon {m.codon_number}, caller saw {m.ref_codon}",
-                WtCodonMismatchWarning,
-                stacklevel=2,
-            )
-    return result
+    return AnnotationResult(tuple(db.records[pos] for pos in sorted(rows)))

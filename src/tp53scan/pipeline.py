@@ -30,7 +30,7 @@ from .errors import (
     ReportFormatError,
     TooShortError,
 )
-from .mutcall import MutationCallSet, MutationKind, call_mutations, protein_differs
+from .mutcall import MutationCallSet, call_mutations, protein_differs
 from .mutdb import AnnotationResult, Database, classify
 from .refstore import RankedCandidate, ReferenceEntry, ReferenceStore, best_homolog
 from .seqio import Alphabet, Sequence, require_dna
@@ -176,10 +176,10 @@ def predict(
 
     Candidates for ``gene`` are ranked by similarity, then walked in rank
     order through the GC gate; the first accepted entry becomes the
-    reference. Mutations are called at DNA level, silent changes are
-    separated from protein-level ones, and each non-silent change is
-    looked up in the database. Every non-silent change is classified
-    (no early exit), so the report's annotations merge all hits.
+    reference. Mutations are called at DNA level, and ``classify``
+    looks the whole call set up in the database in one pass: every
+    non-silent call is looked up (no early exit), and the hits come back
+    once each, in file order.
 
     Each candidate is aligned once, while ranking; mutations are called
     from the accepted one's alignment.
@@ -214,21 +214,9 @@ def predict(
         raise NoReferenceAcceptedError(tuple(trace))
 
     calls = call_mutations(accepted.alignment)
-
-    annotations: AnnotationResult | None = None
-    matched_ids: set[str] = set()
-    for m in calls.mutations:
-        hit = None if m.kind is MutationKind.SILENT else classify(db, m)
-        if hit is not None:
-            matched_ids.update(r.record_id for r in hit.matches)
-    if matched_ids:
-        annotations = AnnotationResult(
-            tuple(r for r in db.records if r.record_id in matched_ids)
-        )
-
     verdict = Verdict(
         mutations=calls,
-        annotations=annotations,
+        annotations=classify(db, calls),
         reference_used=ReferenceDescriptor.from_entry(accepted.entry),
         gc_report=gc_report,
         gate_trace=tuple(trace),

@@ -25,6 +25,7 @@ from tp53scan.pipeline import (
     report_from_dict,
     report_to_dict,
 )
+from tp53scan.seqio import PROTEIN_RESIDUES
 
 from support import dna
 
@@ -252,6 +253,11 @@ def test_malformed_payloads_raise_report_format_error(bundled_payload):
             "",
             r"annotations\.matches\[0\]: empty record_id$",
         ),
+        (
+            ("verdict", "annotations", "matches", 0, "mut_aa"),
+            "B",
+            r"^verdict\.annotations\.matches\[0\]: mut_aa must be one amino-acid letter, got 'B'$",
+        ),
     ],
 )
 def test_bad_values_name_their_path(bundled_payload, path, value, message):
@@ -332,6 +338,7 @@ def test_floats_accept_ints():
 
 
 CODONS = st.text(alphabet="ACGT", min_size=3, max_size=3)
+AMINO_ACIDS = st.sampled_from(sorted(PROTEIN_RESIDUES))
 
 
 @st.composite
@@ -349,8 +356,8 @@ def mutation_records(draw):
         codon_number=draw(st.integers(min_value=1)),
         wt_codon=wt,
         mut_codon=draw(CODONS.filter(lambda c: c != wt)),
-        wt_aa=draw(st.text(min_size=1, max_size=1)),
-        mut_aa=draw(st.text(min_size=1, max_size=1)),
+        wt_aa=draw(AMINO_ACIDS),
+        mut_aa=draw(AMINO_ACIDS),
         mutation_event=draw(st.text()),
         tumor_type=draw(st.text()),
         extra=draw(st.dictionaries(st.text(), st.text(), max_size=4)),
