@@ -6,9 +6,10 @@ shared by the two sequences (BLAST-style seeds) are chained into a real
 global path; its score is a lower bound on the optimum. That bound fixes
 a band of diagonals that provably holds every optimal path (Fickett
 1984; Ukkonen 1985), so the DP is filled once, row by row, on that band
-only: memory is O((n + m) * band width), 8 bytes per cell. Traceback is
-pure Python and deterministic: at every choice point Match/Mismatch is
-preferred over Delete, and Delete over Insert.
+only: memory is O((n + m) * band width), 8 bytes per cell. The
+traceback checks diagonal runs a chunk at a time and steps through gap
+runs cell by cell. It is deterministic: at every choice point
+Match/Mismatch is preferred over Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
+from itertools import cycle
+from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentTooLargeError, AlphabetMismatchError
 from .seqio import Sequence
@@ -40,6 +41,9 @@ _EXACT_FLOAT32 = 2**24
 
 # Runs a word-hit run looks back over for its predecessor in a chain.
 _CHAIN_REACH = 64
+
+# Cells the traceback checks per numpy pass along a diagonal run.
+_RUN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -74,14 +78,29 @@ class AlignOp(Enum):
     DELETE = "Delete"
 
 
-def _op_for_column(ca: str, cb: str) -> AlignOp:
-    if ca == GAP:
-        if cb == GAP:
-            raise ValueError("column with a gap in both rows")
-        return AlignOp.INSERT
-    if cb == GAP:
-        return AlignOp.DELETE
-    return AlignOp.MATCH if ca == cb else AlignOp.MISMATCH
+# ops by column code: same + 2 * (gap in b) + 3 * (gap in a)
+_OP_BY_CODE = (AlignOp.MISMATCH, AlignOp.MATCH, AlignOp.DELETE, AlignOp.INSERT)
+
+
+def _column_runs(a: str, b: str) -> tuple[tuple[AlignOp, int], ...]:
+    """Run-length ops of two equal-length gapped rows, in one numpy pass.
+
+    A column is Insert when ``a`` has the gap, Delete when ``b`` has it,
+    else Match or Mismatch; a column with a gap in both rows raises
+    ValueError.
+    """
+    code_a = np.frombuffer(a.encode("utf-32-le"), dtype="<u4")
+    code_b = np.frombuffer(b.encode("utf-32-le"), dtype="<u4")
+    gap_a, gap_b = code_a == ord(GAP), code_b == ord(GAP)
+    if (gap_a & gap_b).any():
+        raise ValueError("column with a gap in both rows")
+    code = (code_a == code_b) + 2 * gap_b.view(np.uint8) + 3 * gap_a.view(np.uint8)
+    starts = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()]
+    ends = [*starts[1:], len(code)]
+    return tuple(
+        (_OP_BY_CODE[op], end - start)
+        for op, start, end in zip(code[starts].tolist(), starts, ends)
+    )
 
 
 @dataclass(frozen=True)
@@ -100,11 +119,34 @@ class AlignmentResult:
             raise ValueError("aligned rows differ in length")
         if not a:
             raise ValueError("alignment has no columns")
-        runs = groupby(map(_op_for_column, a, b))
-        object.__setattr__(self, "ops", tuple((op, len(list(r))) for op, r in runs))
+        object.__setattr__(self, "ops", _column_runs(a, b))
 
     def degapped_a(self) -> str:
         return self.aligned_a.replace(GAP, "")
+
+
+def _windows(
+    a: str, b: str, scheme: ScoringScheme, step: int, first: int, width: int
+) -> dict[str, np.ndarray]:
+    """windows[c][i][p]: the shifted score of pairing residue c with
+    b[j-1], sub - 2 * gap_extend, where (i, j) is stored at position p.
+
+    Where j is outside 1..m the value is unused: M there adds it to -inf
+    or lies past column m. Built before the band is allocated, so its
+    temporaries are gone by then.
+    """
+    n, m = len(a), len(b)
+    f32 = np.float32
+    b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    b_at = b_codes[np.clip(np.arange(first - 1, first - 1 + step * n + width), 0, m - 1)]
+    hit = f32(scheme.match - 2 * scheme.gap_extend)
+    miss = f32(scheme.mismatch - 2 * scheme.gap_extend)
+    windows = {}
+    for ch in set(a):
+        scores = np.where(b_at == ord(ch), hit, miss)
+        strides = (step * scores.itemsize, scores.itemsize)
+        windows[ch] = np.ndarray((n + 1, width), f32, scores, strides=strides)
+    return windows
 
 
 def _fill_band(
@@ -124,7 +166,7 @@ def _fill_band(
     _check_exact). M and X are kept whole, since the traceback reads
     them; Y is kept for the last row only, since it reads Y nowhere
     else. Returns M, X, the last Y row and (step, first): cell (i, j)
-    is stored at row i, column j - step*i - first + 1, with a -inf
+    is stored at row i, column c = j - step*i - first + 1, with a -inf
     column at each end of a row (the Y row has none on the left, so
     column c there is column c + 1 of M and X).
 
@@ -135,9 +177,21 @@ def _fill_band(
     matrix reads. A band at least as wide as the matrix is the whole
     matrix (step 0, first 0), where (i-1, j-1) sits one column left.
 
-    Rows are vectorized. The Insert state has a within-row dependency,
-    resolved with a running-maximum prefix scan:
-    Y[i, j] = open + (j-1-k)*extend + best entry at k for some k < j.
+    Cells are stored shifted: cell (i, j) holds its score minus
+    (i + j + 1 - first) * gap_extend, that is ((1 + step) * i + c) *
+    gap_extend for storage column c (_cell undoes it). The shift grows
+    by gap_extend with each step right or down, so it pays every extend
+    cost in advance, and with o = gap_open - gap_extend the recurrences
+    lose their extend terms:
+
+        M = top(i-1, j-1) + sub - 2 * gap_extend   (folded into windows)
+        X = max(X(i-1, j), top(i-1, j) + o)
+        Y = o + running maximum of max(M, X) over the row, left of j
+
+    where top is max(M, X, Y). Opening from Delete costs no less than
+    extending it, so top can stand in for max(M, Y) in X. A row then
+    takes 7 numpy calls, none with a ramp, and the rows are walked with
+    zip over row views while two top buffers take turns.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
@@ -152,60 +206,51 @@ def _fill_band(
             f"a {n} x {m} alignment needs {cells} cells, "
             f"more than the limit of {MAX_BAND_CELLS}"
         )
+    windows = _windows(a, b, scheme, step, first, width)
     f32 = np.float32
-    match, mismatch = f32(scheme.match), f32(scheme.mismatch)
-    go, ge = f32(scheme.gap_open), f32(scheme.gap_extend)
+    # a 0-d array: ufuncs take it faster than a numpy scalar
+    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=f32)
 
     mat_m = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
     mat_x = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
     y_row = np.full(width, _NEG_INF, dtype=f32)
+    y_tail = y_row[1:]
     inner_m, inner_x = mat_m[:, 1:-1], mat_x[:, 1:-1]
-    # x_above[i - 1][p]: X at (i-1, j) for the cell (i, j) at position p
-    x_above = mat_x[:, 1 + step : 1 + step + width]
+    # x_above row i-1 is X at (i-1, j) for the cell (i, j) at each position
+    x_above = mat_x[:-1, 1 + step : 1 + step + width]
 
-    # windows[c][i][p]: score of pairing residue c with b[j-1], where
-    # (i, j) is stored at position p. Where j is outside 1..m the value
-    # is unused: M there adds it to -inf or lies past column m.
-    js = np.arange(step * n + width) + first
-    b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    b_at = b_codes[np.clip(js - 1, 0, m - 1)]
-    windows = {
-        ch: sliding_window_view(np.where(b_at == ord(ch), match, mismatch), width)
-        for ch in set(a)
-    }
+    # row 0: M(0, 0) = 0, then an Insert run; X is -inf throughout
+    tops = [np.full(width + 2, _NEG_INF, dtype=f32) for _ in range(2)]
+    start = -first
+    inner_m[0, start] = tops[0][1 + start] = -(1 - first) * scheme.gap_extend
+    tops[0][2 + start : -1] = tops[0][1 + start] + reopen
 
-    ramp = ge * np.arange(width, dtype=f32)
-    ladder = (go + ramp)[:-1]  # cost of an Insert run of length p+1
-    # tops[i % 2]: max(M, X, Y) of row i, with the same -inf end columns
-    tops = np.full((2, width + 2), _NEG_INF, dtype=f32)
-    # the same for the row maxima: top_diag at (i-1, j-1), top_above at (i-1, j)
-    top_diag = [t[step : step + width] for t in tops]
-    top_above = [t[1 + step : 1 + step + width] for t in tops]
-    top_rows = [t[1:-1] for t in tops]
-    lead = np.empty(width, dtype=f32)
-    scan = np.empty(width, dtype=f32)
-    opened = np.empty(width, dtype=f32)
-
-    def finish_row(i: int) -> None:
-        # Insert: entry points are M or X at some position q < p
-        np.maximum(inner_m[i], inner_x[i], out=lead)
-        np.subtract(lead, ramp, out=scan)
-        np.maximum.accumulate(scan, out=scan)
-        np.add(ladder, scan[:-1], out=y_row[1:])
-        np.maximum(lead, y_row, out=top_rows[i & 1])
-
-    inner_m[0, -first] = 0.0
-    finish_row(0)
-    for i in range(1, n + 1):
-        k = (i - 1) & 1
-        np.add(top_diag[k], windows[a[i - 1]][step * i], out=inner_m[i])
-        # opening from Delete costs no less than extending it, so the
-        # row maximum can stand in for max(M, Y)
-        np.add(top_above[k], go, out=opened)
-        x_row = np.add(x_above[i - 1], ge, out=inner_x[i])
-        np.maximum(x_row, opened, out=x_row)
-        finish_row(i)
+    # the two top buffers take turns as the row above, read at (i-1, j-1)
+    # and (i-1, j), and as the row being filled (whole, and all but its
+    # last cell for the Insert scan); both keep their -inf end columns
+    above = [(t[step : step + width], t[1 + step : 1 + step + width]) for t in tops]
+    filling = [(t[1:-1], t[1:-2]) for t in tops]
+    turns = cycle((above[0] + filling[1], above[1] + filling[0]))
+    # windows[a[i-1]][i] for i = 1..n, without a Python-level step per row
+    window_rows = map(getitem, map(windows.__getitem__, a), range(1, n + 1))
+    add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
+    for w, m_row, x_row, x_up, (t_diag, t_up, top, head) in zip(
+        window_rows, inner_m[1:], inner_x[1:], x_above, turns
+    ):
+        add(t_diag, w, out=m_row)
+        add(t_up, reopen, out=x_row)
+        maximum(x_row, x_up, out=x_row)
+        maximum(m_row, x_row, out=top)
+        running_max(head, out=y_tail)
+        add(y_tail, reopen, out=y_tail)
+        maximum(top, y_row, out=top)
     return mat_m, mat_x, y_row, step, first
+
+
+def _cell(mat: np.ndarray, i: int, j: int, step: int, first: int, gap_extend: int) -> float:
+    """Score of cell (i, j) of a filled band: the stored value plus the
+    shift _fill_band took off."""
+    return mat.item(i, j - step * i - first + 1) + (i + j + 1 - first) * gap_extend
 
 
 def _traceback(
@@ -226,12 +271,31 @@ def _traceback(
     predecessors is safe. Preference order M > X > Y applies at the end
     cell and at every step. A predecessor outside the band reads -inf
     and is never chosen.
+
+    In state M the walk takes a diagonal run at once. It stays in M past
+    a cell while the stored M up the diagonal equals this cell's stored
+    M minus its window score: along a diagonal the shifts differ by
+    exactly the 2 * gap_extend folded into that score. The check runs
+    on up to _RUN_CHUNK cells per numpy pass, in float64 so the
+    subtraction is exact, which bounds the cells looked at past the end
+    of a run; the run is emitted as two string slices. Where a run ends,
+    and in the gap states, the walk steps one cell at a time on
+    unshifted values (_cell), as the full-matrix walk does, so every
+    tie rule holds.
     """
     go, ge = float(scheme.gap_open), float(scheme.gap_extend)
+    # the window scores of _fill_band, as integers
+    hit = scheme.match - 2 * scheme.gap_extend
+    miss = scheme.mismatch - 2 * scheme.gap_extend
     i, j = len(a), len(b)
 
     def at(mat: np.ndarray, i: int, j: int) -> float:
-        return mat.item(i, j - step * i - first + 1)
+        return _cell(mat, i, j, step, first, scheme.gap_extend)
+
+    # M flattened: cell (i, j) sits at i * cols + its column, and the
+    # cell up the diagonal, (i-1, j-1), sits ``up`` places before it
+    flat_m, cols = mat_m.reshape(-1), mat_m.shape[1]
+    up = cols + 1 - step
 
     state = "M"
     here = at(mat_m, i, j)
@@ -244,10 +308,22 @@ def _traceback(
     cols_b: list[str] = []
     while i > 0 or j > 0:
         if state == "M":
-            cols_a.append(a[i - 1])
-            cols_b.append(b[j - 1])
-            here -= float(scheme.match if a[i - 1] == b[j - 1] else scheme.mismatch)
-            i, j = i - 1, j - 1
+            # cells (i-k, j-k) .. (i, j) of the diagonal; int64 scores
+            # make the check float64
+            k = min(_RUN_CHUNK, i, j)
+            end = i * cols + j - step * i - first + 1
+            run_cells = flat_m[end - k * up : end + 1 : up]
+            codes_a = np.frombuffer(a[i - k : i].encode("ascii"), dtype=np.uint8)
+            codes_b = np.frombuffer(b[j - k : j].encode("ascii"), dtype=np.uint8)
+            scores = np.where(codes_a == codes_b, hit, miss)
+            breaks = np.flatnonzero(run_cells[:-1] != run_cells[1:] - scores)
+            run = k - int(breaks[-1]) if len(breaks) else k
+            cols_a.append(a[i - run : i])
+            cols_b.append(b[j - run : j])
+            i, j = i - run, j - run
+            here = at(mat_m, i + 1, j + 1) - float(
+                scheme.match if a[i] == b[j] else scheme.mismatch
+            )
             if at(mat_m, i, j) == here:
                 state = "M"
             elif at(mat_x, i, j) == here:
@@ -432,19 +508,31 @@ def _seed(a: Sequence, b: Sequence, scheme: ScoringScheme) -> _Seed:
 
 
 def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
-    """Raise unless float32 cells hold every score of the fill exactly.
+    """Raise unless float32 holds every value the fill forms exactly.
 
-    A path of n + m columns or fewer scores at most (n + m) * largest in
-    magnitude, and the Insert scan adds at most m * largest more; float32
-    holds every integer below 2**24.
+    Each stored cell, each running-maximum input and each sum of the
+    fill is the score V of a path into some cell (i, j) of the matrix,
+    minus that cell's shift (i + j + 1 - first) * gap_extend (see
+    _fill_band). A path has at most n + m columns, so
+    |V| <= (n + m) * largest, where largest is the scheme's largest
+    |score|. A band narrower than the matrix starts at most (n - 1) // 2
+    diagonals left of diagonal 0, so the shift is at most
+    (n + m + (n + 1) // 2) * |gap_extend|. With |gap_extend| <= largest,
+    every value lies within
+
+        2 * (n + m) * largest + ((n + 1) // 2) * |gap_extend|,
+
+    and float32 holds every integer below 2**24. Cells with j > m reach
+    no cell of the matrix, so their values need not be exact.
     """
     largest = max(
         abs(scheme.match), abs(scheme.mismatch), abs(scheme.gap_open), abs(scheme.gap_extend)
     )
-    if 2 * (n + m) * largest >= _EXACT_FLOAT32:
+    bound = 2 * (n + m) * largest + ((n + 1) // 2) * abs(scheme.gap_extend)
+    if bound >= _EXACT_FLOAT32:
         raise AlignmentTooLargeError(
             f"a {n} x {m} alignment with scores up to {largest} could reach "
-            f"{2 * (n + m) * largest}, beyond the exact float32 range of {_EXACT_FLOAT32}"
+            f"{bound}, beyond the exact float32 range of {_EXACT_FLOAT32}"
         )
 
 
@@ -476,9 +564,11 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
     seed = _seed(a, b, scheme)
     slack = _slack_beating(n, m, seed.score, scheme)
     mat_m, mat_x, y_last, step, first = _fill_band(a.residues, b.residues, scheme, slack)
-    end = m - step * n - first + 1
-    y_end = y_last.item(end - 1)
-    score = int(max(mat_m.item(n, end), mat_x.item(n, end), y_end))
+    ge = scheme.gap_extend
+    y_end = y_last.item(m - step * n - first) + (n + m + 1 - first) * ge
+    score = int(
+        max(_cell(mat_m, n, m, step, first, ge), _cell(mat_x, n, m, step, first, ge), y_end)
+    )
     if not (_covers_matrix(n, m, slack) or score > _exit_bound(n, m, slack, scheme)):
         raise AssertionError(
             f"seeded band refused: slack {slack}, seed score {seed.score}, band score {score}"
@@ -486,6 +576,8 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
     aligned_a, aligned_b = _traceback(
         a.residues, b.residues, scheme, mat_m, mat_x, y_end, step, first
     )
+    # free the band before the ops pass allocates its own arrays
+    del mat_m, mat_x
     return AlignmentResult(aligned_a=aligned_a, aligned_b=aligned_b, score=score)
 
 

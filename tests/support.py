@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the library's own algorithms: one
 alignment oracle enumerates every monotone alignment path, the other
-fills the whole Gotoh matrix (the aligner the banded one replaced), and
-the query oracle is a plain linear scan with its own normalization.
+fills the whole Gotoh matrix (the aligner the banded one replaced), the
+ops oracle reads gapped rows one column at a time, and the query oracle
+is a plain linear scan with its own normalization.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -190,6 +192,23 @@ def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> OracleAlignm
         else:
             runs.append((op, 1))
     return OracleAlignment(aligned_a, aligned_b, int(score), tuple(runs))
+
+
+def _op_for_column(ca: str, cb: str) -> AlignOp:
+    if ca == GAP:
+        if cb == GAP:
+            raise ValueError("column with a gap in both rows")
+        return AlignOp.INSERT
+    if cb == GAP:
+        return AlignOp.DELETE
+    return AlignOp.MATCH if ca == cb else AlignOp.MISMATCH
+
+
+def oracle_column_ops(a: str, b: str) -> tuple[tuple[AlignOp, int], ...]:
+    """Run-length ops of two equal-length gapped rows, one column at a
+    time: the rule ``AlignmentResult`` applied before it used numpy."""
+    runs = groupby(map(_op_for_column, a, b))
+    return tuple((op, len(list(r))) for op, r in runs)
 
 
 def rescore_alignment(aligned_a: str, aligned_b: str, scheme: ScoringScheme) -> int:

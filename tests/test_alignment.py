@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -27,7 +28,13 @@ from tp53scan.errors import (
 )
 from tp53scan.seqio import Alphabet, Sequence
 
-from support import dna, oracle_best_score, oracle_full_alignment, rescore_alignment
+from support import (
+    dna,
+    oracle_best_score,
+    oracle_column_ops,
+    oracle_full_alignment,
+    rescore_alignment,
+)
 
 
 def protein(residues: str, seq_id: str = "p") -> Sequence:
@@ -89,6 +96,23 @@ class TestAlignmentResultValidation:
         )
         with pytest.raises(ReportFormatError, match=r"^ops: "):
             from_dict(AlignmentResult, payload)
+
+
+# gap, two residues, and a character outside ASCII
+_COLUMN_CHARS = st.sampled_from("-AC\u00e9")
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(st.tuples(_COLUMN_CHARS, _COLUMN_CHARS), min_size=1, max_size=60))
+def test_ops_follow_the_column_rule(columns: list[tuple[str, str]]):
+    a, b = ("".join(row) for row in zip(*columns))
+    try:
+        want = oracle_column_ops(a, b)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            AlignmentResult(a, b, 0)
+    else:
+        assert AlignmentResult(a, b, 0).ops == want
 
 
 def test_identity_alignment():
@@ -372,6 +396,79 @@ def test_one_fill_per_alignment(pair: str, reference_cds, subject_r248w):
     assert fill.call_count == 1
 
 
+# --- the run-wise traceback against the full-matrix oracle
+
+
+def _random_dna(rng: random.Random, size: int) -> str:
+    return "".join(rng.choices("ACGT", k=size))
+
+
+def _align_stored(a: str, b: str, whole: bool) -> tuple[AlignmentResult, int]:
+    """align_global on a band (or, with ``whole``, on the whole matrix),
+    and the step the fill stored the cells with."""
+    fill, steps = alignment._fill_band, []
+
+    def recorded(*args):
+        mats = fill(*args)
+        steps.append(mats[3])
+        return mats
+
+    wide = mock.patch.object(alignment, "_slack_beating", return_value=len(a) + len(b))
+    with mock.patch.object(alignment, "_fill_band", recorded), (
+        wide if whole else nullcontext()
+    ):
+        result = align_global(dna(a, "a"), dna(b, "b"), DNA_SCHEME)
+    return result, steps[0]
+
+
+def _assert_oracle_alignment(got: AlignmentResult, a: str, b: str) -> None:
+    want = oracle_full_alignment(a, b, DNA_SCHEME)
+    assert (got.aligned_a, got.aligned_b, got.ops, got.score) == (
+        want.aligned_a,
+        want.aligned_b,
+        want.ops,
+        want.score,
+    )
+
+
+def test_identical_1179_nt_pair_is_one_run(reference_cds):
+    # one diagonal run across 19 chunks, down to (0, 0)
+    copy = dna(reference_cds.residues, "copy")
+    _same_as_oracle(reference_cds, copy, DNA_SCHEME)
+    assert align_global(reference_cds, copy, DNA_SCHEME).ops == ((AlignOp.MATCH, 1179),)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["band", "whole"])
+@pytest.mark.parametrize("run", [63, 64, 65, 128, 129])
+def test_diagonal_run_ending_at_a_chunk_edge(run: int, whole: bool):
+    # a has 7 residues b lacks; from the end the walk takes `run`
+    # diagonal columns, one of them a mismatch, then the Delete run
+    rng = random.Random(run)
+    head, gap, tail = _random_dna(rng, 80), "TTTTTTT", _random_dna(rng, run)
+    head, tail = head[:-1] + "G", "A" + tail[1:]
+    mid = run // 2
+    changed = tail[:mid] + "ACGT"[("ACGT".index(tail[mid]) + 1) % 4] + tail[mid + 1 :]
+    a, b = head + gap + tail, head + changed
+    got, step = _align_stored(a, b, whole)
+    assert step == (0 if whole else 1)
+    assert got.aligned_b.endswith(GAP + changed)
+    _assert_oracle_alignment(got, a, b)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["band", "whole"])
+@pytest.mark.parametrize("lead", [AlignOp.INSERT, AlignOp.DELETE])
+def test_path_starting_with_a_gap_run(lead: AlignOp, whole: bool):
+    # the diagonal run from the end stops at i == 0 (Insert first) or at
+    # j == 0 (Delete first), part way through a chunk
+    rng = random.Random(3)
+    extra, core = _random_dna(rng, 9), _random_dna(rng, 100)
+    a, b = (core, extra + core) if lead is AlignOp.INSERT else (extra + core, core)
+    got, step = _align_stored(a, b, whole)
+    assert step == (0 if whole else 1)
+    assert got.ops == ((lead, 9), (AlignOp.MATCH, 100))
+    _assert_oracle_alignment(got, a, b)
+
+
 def test_seed_puts_the_gap_at_the_best_split():
     # substitutions every 6 nt around a 30-nt deletion leave no shared
     # word there, so the join between the flanking runs places the gap
@@ -407,6 +504,28 @@ def test_band_memory_is_linear_in_length(reference_cds, subject_r248w):
     assert peak - before < 2 * 1024 * 1024
 
 
+def test_alignment_needs_under_40_kb_beyond_its_band(reference_cds, subject_r248w):
+    # on cds_snv most of the gated peak memory is this alignment: the
+    # band itself, plus what the seed, fill, traceback and ops allocate
+    align_global(reference_cds, subject_r248w, DNA_SCHEME)  # index the words
+    fill, band = alignment._fill_band, []
+
+    def measured(*args):
+        mats = fill(*args)
+        band.append(mats[0].nbytes + mats[1].nbytes)
+        return mats
+
+    with mock.patch.object(alignment, "_fill_band", measured):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            align_global(reference_cds, subject_r248w, DNA_SCHEME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - before - band[0] < 40 * 1024
+
+
 def test_oversized_band_raises_named_error(monkeypatch):
     monkeypatch.setattr(alignment, "MAX_BAND_CELLS", 1000)
     with pytest.raises(AlignmentTooLargeError):
@@ -432,6 +551,19 @@ def test_scores_beyond_float32_range_raise_before_any_work():
     assert align_global(dna("ACGT", "a"), dna("ACG", "b"), big).score == 3 * 2**20 - 5
     with pytest.raises(AlignmentTooLargeError):
         align_global(dna("ACGT", "a"), dna("ACGT", "b"), big)
+
+
+def test_exactness_bound_counts_the_cell_shift():
+    # with gap_open = gap_extend = -2**20 the shift term decides: every
+    # pair with n + m = 7 has 2 * (n + m) * largest = 14 * 2**20, and the
+    # (n + 1) // 2 extends of shift on top make 15 * 2**20 for (2, 5) and
+    # (1, 6), admitted, but 2**24 for (3, 4) and more for (5, 2)
+    steep = ScoringScheme(match=1, mismatch=-1, gap_open=-(2**20), gap_extend=-(2**20))
+    _same_as_oracle(dna("AC", "a"), dna("GACTT", "b"), steep)
+    _same_as_oracle(dna("T", "a"), dna("GACTTA", "b"), steep)
+    for a, b in [("ACG", "GACT"), ("GACTT", "AC")]:
+        with pytest.raises(AlignmentTooLargeError, match="float32"):
+            align_global(dna(a, "a"), dna(b, "b"), steep)
 
 
 def test_5000_by_5000_dna_pair_is_admitted():
