@@ -6,10 +6,14 @@ shared by the two sequences (BLAST-style seeds) are chained into a real
 global path; its score is a lower bound on the optimum. That bound fixes
 a band of diagonals that provably holds every optimal path (Fickett
 1984; Ukkonen 1985), so the DP is filled once, row by row, on that band
-only: memory is O((n + m) * band width), 8 bytes per cell. The
-traceback checks diagonal runs a chunk at a time and steps through gap
-runs cell by cell. It is deterministic: at every choice point
-Match/Mismatch is preferred over Delete, and Delete over Insert.
+only: memory is O((n + m) * band width), 8 bytes per cell. A band of
+one diagonal needs no DP at all. A caller that only wants alignments
+scoring at least some floor (a ranking leader's score) passes it: the
+band then only has to hold paths that reach the floor, and an
+alignment that cannot is refused before any traceback. The traceback
+checks diagonal runs a chunk at a time and steps through gap runs cell
+by cell. It is deterministic: at every choice point Match/Mismatch is
+preferred over Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -44,6 +48,9 @@ _CHAIN_REACH = 64
 
 # Cells the traceback checks per numpy pass along a diagonal run.
 _RUN_CHUNK = 64
+
+# Rows a fill with a floor runs between two checks of its row bound.
+_FLOOR_CHECK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,8 @@ def _windows(
 
 
 def _fill_band(
-    a: str, b: str, scheme: ScoringScheme, slack: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    a: str, b: str, scheme: ScoringScheme, slack: int, floor: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int] | None:
     """Fill the Gotoh score matrices on a band of diagonals only.
 
     The band spans diagonals lo = min(0, m-n) - slack to
@@ -192,6 +199,19 @@ def _fill_band(
     extending it, so top can stand in for max(M, Y) in X. A row then
     takes 7 numpy calls, none with a ramp, and the rows are walked with
     zip over row views while two top buffers take turns.
+
+    With a ``floor``, every _FLOOR_CHECK_ROWS rows the fill bounds the
+    best in-band path and returns None once that bound is below the
+    floor (Ukkonen 1985). Every path crosses row i, at some cell (i, j)
+    of the band; it scores at most top(i, j) plus the best a suffix from
+    there can add. A suffix of k diagonal and g gap columns scores at
+    most k * match + g * gap_extend, with g = (n - i) + (m - j) - 2k, so
+    at most (n - i + m - j) * gap_extend + gain * min(n - i, m - j),
+    where gain = max(0, match - 2 * gap_extend). Added to the shifted
+    top, the extend term makes the constant (n + m + 1 - first) *
+    gap_extend. Columns with j > m hold no cell of the matrix and no
+    path crosses them: whatever they hold can only keep the test from
+    refusing.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
@@ -234,9 +254,14 @@ def _fill_band(
     # windows[a[i-1]][i] for i = 1..n, without a Python-level step per row
     window_rows = map(getitem, map(windows.__getitem__, a), range(1, n + 1))
     add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
-    for w, m_row, x_row, x_up, (t_diag, t_up, top, head) in zip(
-        window_rows, inner_m[1:], inner_x[1:], x_above, turns
-    ):
+    if floor is not None:
+        gain = max(0, scheme.match - 2 * scheme.gap_extend)
+        # the floor less the shifted score every suffix's extends come to
+        need = floor - (n + m + 1 - first) * scheme.gap_extend
+        # m - j for the cell at each position of row 0
+        b_left = m - first + 1 - np.arange(1, width + 1)
+    rows = zip(window_rows, inner_m[1:], inner_x[1:], x_above, turns)
+    for i, (w, m_row, x_row, x_up, (t_diag, t_up, top, head)) in enumerate(rows, 1):
         add(t_diag, w, out=m_row)
         add(t_up, reopen, out=x_row)
         maximum(x_row, x_up, out=x_row)
@@ -244,6 +269,10 @@ def _fill_band(
         running_max(head, out=y_tail)
         add(y_tail, reopen, out=y_tail)
         maximum(top, y_row, out=top)
+        if floor is not None and i % _FLOOR_CHECK_ROWS == 0:
+            room = np.minimum(b_left - step * i, n - i)
+            if (top + gain * room).max() < need:
+                return None
     return mat_m, mat_x, y_row, step, first
 
 
@@ -536,17 +565,25 @@ def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
         )
 
 
-def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentResult:
+def align_global(
+    a: Sequence, b: Sequence, scheme: ScoringScheme, floor: int | None = None
+) -> AlignmentResult | None:
     """Align two sequences end to end, maximizing the affine-gap score.
 
     The DP is filled once, on a band of diagonals around the corridor
     from diagonal 0 to diagonal len(b) - len(a). A seed path built from
-    shared words (_seed) scores L, a lower bound on the optimum, and the
-    slack is the smallest whose exit bound lies below L. Every path that
-    leaves the band scores at most that bound, so the seed path lies
-    inside and the fill scores at least L: the band is accepted, and it
-    holds every optimal path, so rows, ops and score are the ones the
-    full matrix gives.
+    shared words (_seed) scores L, a lower bound on the optimum. The
+    slack is the smallest whose exit bound lies below T = max(L,
+    ``floor``): every path that leaves the band scores below T. If the
+    in-band optimum is below ``floor``, so is every path, and the result
+    is None, found before any traceback, and often part way through the
+    fill (_fill_band). Otherwise the fill scores at least T, so the band
+    holds every optimal path, and rows, ops and score are the ones the
+    full matrix gives, with or without a floor.
+
+    A band of one diagonal (len(a) == len(b), slack 0) holds only the
+    gapless path, so that path is the optimum: its rows are the inputs
+    and its score their summed pair scores, with no fill or traceback.
 
     Raises:
         AlphabetMismatchError: if the sequences use different alphabets.
@@ -562,16 +599,31 @@ def align_global(a: Sequence, b: Sequence, scheme: ScoringScheme) -> AlignmentRe
     n, m = len(a), len(b)
     _check_exact(n, m, scheme)
     seed = _seed(a, b, scheme)
-    slack = _slack_beating(n, m, seed.score, scheme)
-    mat_m, mat_x, y_last, step, first = _fill_band(a.residues, b.residues, scheme, slack)
+    target = seed.score if floor is None else max(seed.score, floor)
+    slack = _slack_beating(n, m, target, scheme)
+    if n == m and slack == 0:
+        codes_a = np.frombuffer(a.residues.encode("ascii"), dtype=np.uint8)
+        codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
+        same = int(np.count_nonzero(codes_a == codes_b))
+        score = scheme.match * same + scheme.mismatch * (n - same)
+        if floor is not None and score < floor:
+            return None
+        return AlignmentResult(aligned_a=a.residues, aligned_b=b.residues, score=score)
+
+    filled = _fill_band(a.residues, b.residues, scheme, slack, floor)
+    if filled is None:
+        return None
+    mat_m, mat_x, y_last, step, first = filled
     ge = scheme.gap_extend
     y_end = y_last.item(m - step * n - first) + (n + m + 1 - first) * ge
     score = int(
         max(_cell(mat_m, n, m, step, first, ge), _cell(mat_x, n, m, step, first, ge), y_end)
     )
+    if floor is not None and score < floor:
+        return None
     if not (_covers_matrix(n, m, slack) or score > _exit_bound(n, m, slack, scheme)):
         raise AssertionError(
-            f"seeded band refused: slack {slack}, seed score {seed.score}, band score {score}"
+            f"seeded band refused: slack {slack}, target {target}, band score {score}"
         )
     aligned_a, aligned_b = _traceback(
         a.residues, b.residues, scheme, mat_m, mat_x, y_end, step, first

@@ -176,10 +176,11 @@ def predict(
 
     Candidates for ``gene`` are ranked by similarity, then walked in rank
     order through the GC gate; the first accepted entry becomes the
-    reference. Mutations are called at DNA level, and ``classify``
-    looks the whole call set up in the database in one pass: every
-    non-silent call is looked up (no early exit), and the hits come back
-    once each, in file order.
+    reference. Ranking gets the gate too, so it only has to return the
+    ranking as far as that entry. Mutations are called at DNA level,
+    and ``classify`` looks the whole call set up in the database in one
+    pass: every non-silent call is looked up (no early exit), and the
+    hits come back once each, in file order.
 
     Each candidate is aligned once, while ranking; mutations are called
     from the accepted one's alignment.
@@ -193,7 +194,11 @@ def predict(
     require_dna(subject, "predict")
     subject_used = _frame_check(subject, config.allow_partial)
 
-    candidates = best_homolog(store, subject_used, gene)
+    def admits(entry: ReferenceEntry) -> bool:
+        report = composition(entry.sequence)
+        return reference_gate(report, config.gc_threshold) is GateDecision.ACCEPT
+
+    candidates = best_homolog(store, subject_used, gene, admits)
     trace: list[GateAttempt] = []
     accepted: RankedCandidate | None = None
     gc_report: CompositionReport | None = None

@@ -4,16 +4,19 @@ Stands in for a remote homology search: FASTA files under one directory
 plus a ``manifest.tsv`` naming each entry's file, gene, source label and
 fallback priority. Candidates for a gene are ranked by alignment score
 against the query, best first, with priority breaking ties. Each ranked
-candidate keeps its alignment, so calling can reuse it.
+candidate keeps its alignment, so calling can reuse it. A caller that
+passes its reference gate gets the ranking only as far as the first
+entry the gate admits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .alignment import DNA_SCHEME, AlignmentResult, align_global
-from .errors import GeneNotFoundError, ManifestError
+from .errors import GeneNotFoundError, ManifestError, ScanError
 from .seqio import Alphabet, Sequence, read_fasta, read_text
 
 MANIFEST_NAME = "manifest.tsv"
@@ -126,6 +129,7 @@ def best_homolog(
     store: ReferenceStore,
     query: Sequence,
     gene: str,
+    admits: Callable[[ReferenceEntry], bool] | None = None,
 ) -> tuple[RankedCandidate, ...]:
     """Rank a gene's entries by similarity to the query, best first.
 
@@ -133,6 +137,17 @@ def best_homolog(
     whole query under ``DNA_SCHEME``, the one scheme ranking and calling
     use; the score does not depend on the order. Ties go to the
     lower priority number; remaining ties keep manifest order.
+
+    With ``admits`` (the caller's reference gate), only the ranking
+    through the first admitted entry is returned, exact, or every entry
+    if none is admitted. Entries are aligned in priority order, manifest
+    order breaking ties. The best-ranked admitted entry so far is the
+    leader, and each later entry is aligned with the leader's score as
+    its floor: one that cannot reach it ranks below the leader, so it
+    is dropped without a traceback. Only entries aligned exactly are
+    gated. A gate that raises a ScanError counts as a refusal; the
+    caller's walk over the returned ranking meets the error again if
+    that entry ranks above the first admitted one.
 
     Raises:
         GeneNotFoundError: the store has no entry for ``gene``.
@@ -142,9 +157,32 @@ def best_homolog(
     if not candidates:
         raise GeneNotFoundError(gene)
 
-    ranked = [
-        RankedCandidate(entry, align_global(entry.sequence, query, DNA_SCHEME))
-        for entry in candidates
-    ]
-    ranked.sort(key=lambda c: (-c.alignment.score, c.entry.priority))
+    def rank(c: RankedCandidate) -> tuple[int, int]:
+        return -c.alignment.score, c.entry.priority
+
+    ranked: list[RankedCandidate] = []
+    leader: RankedCandidate | None = None
+    for entry in sorted(candidates, key=lambda e: e.priority):
+        floor = None if leader is None else leader.alignment.score
+        alignment = align_global(entry.sequence, query, DNA_SCHEME, floor=floor)
+        if alignment is None:
+            continue
+        candidate = RankedCandidate(entry, alignment)
+        ranked.append(candidate)
+        if (
+            admits is not None
+            and (leader is None or rank(candidate) < rank(leader))
+            and _admitted(admits, entry)
+        ):
+            leader = candidate
+    ranked.sort(key=rank)
+    if leader is not None:
+        del ranked[ranked.index(leader) + 1 :]
     return tuple(ranked)
+
+
+def _admitted(admits: Callable[[ReferenceEntry], bool], entry: ReferenceEntry) -> bool:
+    try:
+        return admits(entry)
+    except ScanError:
+        return False

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: one
 alignment oracle enumerates every monotone alignment path, the other
 fills the whole Gotoh matrix (the aligner the banded one replaced), the
-ops oracle reads gapped rows one column at a time, and the query oracle
-is a plain linear scan with its own normalization.
+ranking oracle aligns every store entry on that full matrix, the ops
+oracle reads gapped rows one column at a time, and the query oracle is
+a plain linear scan with its own normalization.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
-from tp53scan.alignment import GAP, AlignOp, ScoringScheme
+from tp53scan.alignment import DNA_SCHEME, GAP, AlignmentResult, AlignOp, ScoringScheme
 from tp53scan.mutdb import Database, MutationRecord
-from tp53scan.refstore import ReferenceStore, load_store
+from tp53scan.refstore import RankedCandidate, ReferenceEntry, ReferenceStore, load_store
 from tp53scan.seqio import Alphabet, FastaDocument, Sequence, write_fasta
 
 _NEG_INF = float("-inf")
@@ -192,6 +194,51 @@ def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> OracleAlignm
         else:
             runs.append((op, 1))
     return OracleAlignment(aligned_a, aligned_b, int(score), tuple(runs))
+
+
+def exhaustive_ranking(
+    store: ReferenceStore, query: Sequence, gene: str, admits: object = None
+) -> tuple[RankedCandidate, ...]:
+    """Every entry for ``gene`` aligned on the full matrix and sorted as
+    ranking sorts (score, then priority, then manifest order). It takes
+    ``best_homolog``'s arguments but ignores the gate: this is the
+    ranking as it was before ranking stopped at the gate's leader."""
+    ranked = []
+    for entry in store.entries_for(gene):
+        want = oracle_full_alignment(entry.sequence.residues, query.residues, DNA_SCHEME)
+        alignment = AlignmentResult(want.aligned_a, want.aligned_b, want.score)
+        ranked.append(RankedCandidate(entry, alignment))
+    ranked.sort(key=lambda c: (-c.alignment.score, c.entry.priority))
+    return tuple(ranked)
+
+
+@st.composite
+def small_stores(draw) -> tuple[Sequence, ReferenceStore]:
+    """A subject of 1-8 codons and a TP53 store of 1-5 entries for it:
+    copies, point variants, duplicates of earlier entries, unrelated,
+    AT-only and all-N sequences, at priorities 1-2, so scores and
+    priorities tie and a GC gate rejects some leaders."""
+    codons = draw(st.integers(1, 8))
+    subject = draw(st.text(alphabet="ACGT", min_size=3 * codons, max_size=3 * codons))
+    entries: list[ReferenceEntry] = []
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["copy", "variant", "duplicate", "unrelated", "at", "n"]))
+        if kind == "copy" or (kind == "duplicate" and not entries):
+            residues = subject
+        elif kind == "variant":
+            pos = draw(st.integers(0, len(subject) - 1))
+            residues = subject[:pos] + draw(st.sampled_from("ACGT")) + subject[pos + 1 :]
+        elif kind == "duplicate":
+            residues = draw(st.sampled_from(entries)).sequence.residues
+        elif kind == "unrelated":
+            residues = draw(st.text(alphabet="ACGT", min_size=1, max_size=30))
+        elif kind == "at":
+            residues = draw(st.text(alphabet="AT", min_size=1, max_size=30))
+        else:
+            residues = "N" * draw(st.integers(1, 30))
+        priority = draw(st.integers(1, 2))
+        entries.append(ReferenceEntry(f"e{k}", "TP53", dna(residues, f"s{k}"), priority))
+    return dna(subject, "subject"), ReferenceStore(tuple(entries))
 
 
 def _op_for_column(ca: str, cb: str) -> AlignOp:

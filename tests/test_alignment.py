@@ -388,12 +388,115 @@ def _divergent_pair() -> tuple[Sequence, Sequence]:
     return dna("".join(base), "a"), dna("".join(other), "b")
 
 
+def _one_diagonal(a: Sequence, b: Sequence, floor: int | None = None) -> bool:
+    """True when align_global's band is the single diagonal 0."""
+    n, m = len(a), len(b)
+    score = alignment._seed(a, b, DNA_SCHEME).score
+    target = score if floor is None else max(score, floor)
+    return n == m and alignment._slack_beating(n, m, target, DNA_SCHEME) == 0
+
+
 @pytest.mark.parametrize("pair", ["bundled", "divergent"])
 def test_one_fill_per_alignment(pair: str, reference_cds, subject_r248w):
+    # the bundled pair differs by one substitution: its band is one
+    # diagonal, which holds only the gapless path and needs no fill
     a, b = (reference_cds, subject_r248w) if pair == "bundled" else _divergent_pair()
+    assert _one_diagonal(a, b) is (pair == "bundled")
     with mock.patch.object(alignment, "_fill_band", wraps=alignment._fill_band) as fill:
         _same_as_oracle(a, b, DNA_SCHEME)
-    assert fill.call_count == 1
+    assert fill.call_count == (0 if _one_diagonal(a, b) else 1)
+
+
+# --- the score floor and the one-diagonal band
+
+
+def _assert_floor_law(a: Sequence, b: Sequence, scheme: ScoringScheme, floor: int) -> None:
+    """With a floor, align_global refuses exactly the pairs whose optimum
+    lies below it, and otherwise returns the alignment it gives without."""
+    got = align_global(a, b, scheme, floor=floor)
+    want = oracle_full_alignment(a.residues, b.residues, scheme)
+    if want.score < floor:
+        assert got is None
+    else:
+        assert got == align_global(a, b, scheme)
+        assert (got.aligned_a, got.aligned_b, got.score) == (
+            want.aligned_a,
+            want.aligned_b,
+            want.score,
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.text(alphabet="ACGTN", min_size=1, max_size=30),
+    b=st.text(alphabet="ACGTN", min_size=1, max_size=30),
+    scheme=_schemes(),
+    offset=st.integers(-6, 6),
+    check_rows=st.integers(1, 4),
+)
+def test_floor_refuses_exactly_the_pairs_below_it(
+    a: str, b: str, scheme: ScoringScheme, offset: int, check_rows: int
+):
+    # floors around the optimum, where refusing and aligning meet; the
+    # fill checks its row bound every 1-4 rows, so short pairs test it
+    floor = oracle_full_alignment(a, b, scheme).score + offset
+    with mock.patch.object(alignment, "_FLOOR_CHECK_ROWS", check_rows):
+        _assert_floor_law(dna(a, "a"), dna(b, "b"), scheme, floor)
+
+
+@pytest.mark.parametrize("above", [50, 400])
+def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
+    # a floor above the optimum refuses the divergent pair inside the
+    # fill, before its last row, not after it
+    a, b = _divergent_pair()
+    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
+    fill, fills = alignment._fill_band, []
+
+    def recorded(*args):
+        fills.append(fill(*args))
+        return fills[-1]
+
+    with mock.patch.object(alignment, "_fill_band", recorded):
+        assert align_global(a, b, DNA_SCHEME, floor=best + above) is None
+    assert fills == [None]
+
+
+@settings(max_examples=8, deadline=None)
+@given(pair=_near_diagonal_pairs(), offset=st.integers(-40, 40))
+def test_floor_law_on_near_diagonal_pairs(pair: tuple[str, str], offset: int):
+    a, b = pair
+    floor = oracle_full_alignment(a, b, DNA_SCHEME).score + offset
+    _assert_floor_law(dna(a, "a"), dna(b, "b"), DNA_SCHEME, floor)
+
+
+@st.composite
+def _equal_length_pairs(draw) -> tuple[str, str]:
+    """A 100-400 nt sequence and a copy with 0-3 substitutions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = rng.choices("ACGT", k=draw(st.integers(100, 400)))
+    other = list(base)
+    for pos in rng.sample(range(len(base)), draw(st.integers(0, 3))):
+        other[pos] = rng.choice("ACGT".replace(other[pos], ""))
+    return "".join(base), "".join(other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_equal_length_pairs(), offset=st.none() | st.integers(-20, 20))
+def test_one_diagonal_band_runs_no_fill(pair: tuple[str, str], offset: int | None):
+    a, b = dna(pair[0], "a"), dna(pair[1], "b")
+    want = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME)
+    floor = None if offset is None else want.score + offset
+    with mock.patch.object(alignment, "_fill_band", wraps=alignment._fill_band) as fill:
+        got = align_global(a, b, DNA_SCHEME, floor=floor)
+    assert fill.call_count == (0 if _one_diagonal(a, b, floor) else 1)
+    if floor is not None and want.score < floor:
+        assert got is None
+    else:
+        assert (got.aligned_a, got.aligned_b, got.score) == (
+            want.aligned_a,
+            want.aligned_b,
+            want.score,
+        )
 
 
 # --- the run-wise traceback against the full-matrix oracle
@@ -504,10 +607,14 @@ def test_band_memory_is_linear_in_length(reference_cds, subject_r248w):
     assert peak - before < 2 * 1024 * 1024
 
 
-def test_alignment_needs_under_40_kb_beyond_its_band(reference_cds, subject_r248w):
-    # on cds_snv most of the gated peak memory is this alignment: the
-    # band itself, plus what the seed, fill, traceback and ops allocate
-    align_global(reference_cds, subject_r248w, DNA_SCHEME)  # index the words
+def test_alignment_needs_under_40_kb_beyond_its_band(store, subject_r248w):
+    # on cds_snv most of the gated peak memory is a ranking alignment:
+    # the band itself, plus what the seed, fill, traceback and ops
+    # allocate. The ebi entry's band is 7 diagonals wide; the ncbi entry
+    # aligns on one diagonal, with no band to measure against.
+    ebi = next(e.sequence for e in store.entries if e.source == "ebi-export")
+    assert not _one_diagonal(ebi, subject_r248w)
+    align_global(ebi, subject_r248w, DNA_SCHEME)  # index the words
     fill, band = alignment._fill_band, []
 
     def measured(*args):
@@ -519,7 +626,7 @@ def test_alignment_needs_under_40_kb_beyond_its_band(reference_cds, subject_r248
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            align_global(reference_cds, subject_r248w, DNA_SCHEME)
+            align_global(ebi, subject_r248w, DNA_SCHEME)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

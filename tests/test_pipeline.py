@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tp53scan import mutcall, refstore
+from tp53scan import mutcall, pipeline, refstore
 from tp53scan.composition import GateDecision, composition, reference_gate
 from tp53scan.errors import (
+    AllAmbiguousError,
     AlphabetMismatchError,
     NoReferenceAcceptedError,
     NotInFrameError,
@@ -27,10 +32,11 @@ from tp53scan.pipeline import (
     report_from_dict,
     report_to_dict,
 )
+from tp53scan.refstore import best_homolog
 from tp53scan.seqio import Alphabet, Sequence
 from tp53scan.translation import translate
 
-from support import dna, low_gc_pair, write_store
+from support import dna, exhaustive_ranking, low_gc_pair, small_stores, write_store
 
 GC_RICH_REF = "ATGCTGCCC"  # M L P, GC 6/9, passes the default gate
 
@@ -189,6 +195,60 @@ def test_each_candidate_is_aligned_once(monkeypatch, store, db, subject_r248w):
     report = predict(store, db, subject_r248w, "TP53")
     assert calls == ["tp53scan.refstore"] * len(store.entries_for("TP53"))
     assert [m.codon_number for m in report.verdict.mutations.mutations] == [248]
+
+
+@pytest.mark.parametrize("all_n_priority", [1, 3])
+@pytest.mark.parametrize("all_n_ranks", ["below", "above"])
+def test_gate_error_raises_only_where_the_walk_reaches_it(
+    tmp_path, db, all_n_ranks: str, all_n_priority: int
+):
+    # the gate raises AllAmbiguousError on an all-N entry; ranking takes
+    # that as a refusal, and predict's walk raises it only when the entry
+    # ranks above the accepted reference. Priority 1 gates the entry
+    # before the accepted one is aligned, priority 3 after.
+    subject = dna("ATGCTGCCCAAA", "subj")
+    accepted = subject if all_n_ranks == "below" else dna("GC" * 20, "gc_rich")
+    store = write_store(
+        tmp_path / "store",
+        [
+            ("TP53", "all-n", all_n_priority, dna("N" * 12, "all_n")),
+            ("TP53", "accepted", 2, accepted),
+        ],
+    )
+    order = [c.entry.source for c in best_homolog(store, subject, "TP53")]
+    if all_n_ranks == "below":
+        assert order == ["accepted", "all-n"]
+        report = predict(store, db, subject, "TP53")
+        assert [a.source for a in report.verdict.gate_trace] == ["accepted"]
+    else:
+        assert order == ["all-n", "accepted"]
+        with pytest.raises(AllAmbiguousError, match="'all_n'"):
+            predict(store, db, subject, "TP53")
+
+
+def _outcome(store, db, subject, config) -> tuple:
+    """predict's report without its clock, or how it failed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            payload = report_to_dict(predict(store, db, subject, "TP53", config))
+        except NoReferenceAcceptedError as exc:
+            return "rejected", exc.gate_trace
+        except AllAmbiguousError as exc:
+            return "all-N", str(exc)
+    payload.pop("generated_at")
+    return "report", payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_stores(), threshold=st.sampled_from([0.0, 38.0, 50.0, 75.0, 100.0]))
+def test_gated_ranking_gives_the_exhaustive_ranking_outcome(db, case, threshold: float):
+    subject, store = case
+    config = PipelineConfig(gc_threshold=threshold)
+    got = _outcome(store, db, subject, config)
+    with mock.patch.object(pipeline, "best_homolog", exhaustive_ranking):
+        want = _outcome(store, db, subject, config)
+    assert got == want
 
 
 def test_repeat_runs_agree(store, db, subject_r248w):

@@ -3,8 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tp53scan.errors import GeneNotFoundError, ManifestError
+from tp53scan import refstore
+from tp53scan.alignment import align_global
+from tp53scan.errors import AllAmbiguousError, GeneNotFoundError, ManifestError
 from tp53scan.refstore import (
     ReferenceEntry,
     ReferenceStore,
@@ -13,7 +17,7 @@ from tp53scan.refstore import (
 )
 from tp53scan.seqio import Alphabet
 
-from support import dna, write_store
+from support import dna, exhaustive_ranking, small_stores, write_store
 
 
 def test_bundled_store_shape(store):
@@ -167,6 +171,69 @@ def test_ranking_is_deterministic(store, subject_r248w):
     again = best_homolog(store, subject_r248w, "TP53")
     assert once == again
     assert [c.entry.source for c in once] == ["ncbi-export", "ebi-export"]
+
+
+@pytest.mark.parametrize(
+    "admitted, want",
+    [
+        ({"ncbi-export", "ebi-export"}, ["ncbi-export"]),
+        ({"ebi-export"}, ["ncbi-export", "ebi-export"]),
+        (set(), ["ncbi-export", "ebi-export"]),
+    ],
+)
+def test_gated_ranking_ends_at_the_first_admitted_entry(
+    store, subject_r248w, admitted: set[str], want: list[str]
+):
+    ranked = best_homolog(store, subject_r248w, "TP53", lambda e: e.source in admitted)
+    assert [c.entry.source for c in ranked] == want
+    assert ranked == best_homolog(store, subject_r248w, "TP53")[: len(want)]
+
+
+def test_entries_after_the_leader_are_aligned_with_its_score_as_floor(
+    monkeypatch, store, subject_r248w
+):
+    # priority order: ncbi-export is aligned first and admitted, so the
+    # ebi-export alignment gets ncbi's score as its floor and, scoring
+    # below it, is refused
+    calls = []
+
+    def recorded(a, b, scheme, floor=None):
+        result = align_global(a, b, scheme, floor=floor)
+        calls.append((a.id, floor, result is None))
+        return result
+
+    monkeypatch.setattr(refstore, "align_global", recorded)
+    (leader,) = best_homolog(store, subject_r248w, "TP53", lambda e: True)
+    ncbi, ebi = store.entries_for("TP53")
+    assert leader.entry is ncbi
+    assert calls == [
+        (ncbi.sequence.id, None, False),
+        (ebi.sequence.id, leader.alignment.score, True),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=small_stores(),
+    gate=st.lists(st.sampled_from(["admit", "refuse", "raise"]), min_size=5, max_size=5),
+)
+def test_gated_ranking_is_the_exhaustive_ranking_through_the_first_admitted(
+    case, gate: list[str]
+):
+    # the exhaustive ranking, cut after the first entry the gate admits;
+    # a gate that raises a ScanError refuses
+    subject, store = case
+    decision = {e.source: gate[k] for k, e in enumerate(store.entries)}
+
+    def admits(entry) -> bool:
+        if decision[entry.source] == "raise":
+            raise AllAmbiguousError(entry.source)
+        return decision[entry.source] == "admit"
+
+    full = exhaustive_ranking(store, subject, "TP53")
+    firsts = [k for k, c in enumerate(full) if decision[c.entry.source] == "admit"]
+    want = full[: firsts[0] + 1] if firsts else full
+    assert best_homolog(store, subject, "TP53", admits) == want
 
 
 def test_ranking_compares_whole_sequences(tmp_path):
