@@ -21,7 +21,7 @@ from .alignment import (
     identity_percent,
 )
 from .codec import to_dict
-from .composition import DEFAULT_GC_THRESHOLD, composition, reference_gate
+from .composition import DEFAULT_GC_THRESHOLD, check_threshold, composition, reference_gate
 from .datafiles import bundled_db_path, bundled_refstore_path
 from .errors import RecordCountError, ScanError
 from .mutcall import MutationCallSet, call_mutations
@@ -43,6 +43,8 @@ def _emit(payload: dict, text: str, output: str) -> None:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
+    # a bad threshold is a usage error (exit 2) even when the file is unreadable
+    check_threshold(args.threshold)
     doc = read_fasta(args.fasta, Alphabet.DNA)
     blocks: list[str] = []
     rows: list[dict] = []
@@ -186,15 +188,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    # a bad threshold is a usage error (exit 2) even when the files are unreadable
+    config = PipelineConfig(
+        gc_threshold=args.threshold,
+        allow_partial=args.allow_partial,
+    )
     store = load_store(args.refstore)
     db = load_db(args.db)
     doc = read_fasta(args.subj_fasta, Alphabet.DNA)
     if len(doc) != 1:
         raise RecordCountError(f"predict needs exactly 1 record, found {len(doc)}")
-    config = PipelineConfig(
-        gc_threshold=args.threshold,
-        allow_partial=args.allow_partial,
-    )
     report = predict(store, db, doc[0], args.gene, config)
     _emit(report_to_dict(report), render_text(report), args.output)
     return 0

@@ -28,11 +28,12 @@ from .errors import (
     NoReferenceAcceptedError,
     NotInFrameError,
     ReportFormatError,
+    ScanError,
     TooShortError,
 )
 from .mutcall import MutationCallSet, call_mutations, protein_differs
 from .mutdb import AnnotationResult, Database, classify
-from .refstore import RankedCandidate, ReferenceEntry, ReferenceStore, best_homolog
+from .refstore import ReferenceEntry, ReferenceStore, best_homolog
 from .seqio import Alphabet, Sequence, require_dna
 
 TOOL_VERSION = "0.1.0"
@@ -174,55 +175,61 @@ def predict(
 ) -> PredictionReport:
     """Run the whole prediction for one subject CDS.
 
-    Candidates for ``gene`` are ranked by similarity, then walked in rank
-    order through the GC gate; the first accepted entry becomes the
-    reference. Ranking gets the gate too, so it only has to return the
-    ranking as far as that entry. Mutations are called at DNA level,
+    Every entry for ``gene`` is put through the GC gate once, before any
+    alignment. Candidates are then ranked by similarity and walked in
+    rank order; the first accepted entry becomes the reference, and the
+    gate trace logs each entry walked, up to and including it. Ranking
+    is given the accepted entries, so it only returns the ranking as far
+    as that reference. Each candidate is aligned once, while ranking;
+    mutations are called at DNA level from the reference's alignment,
     and ``classify`` looks the whole call set up in the database in one
     pass: every non-silent call is looked up (no early exit), and the
     hits come back once each, in file order.
 
-    Each candidate is aligned once, while ranking; mutations are called
-    from the accepted one's alignment.
-
     Raises:
         AlphabetMismatchError: the subject is not DNA.
-        NoReferenceAcceptedError: every candidate failed the GC gate.
+        TooShortError: the subject has fewer than 3 bases.
         NotInFrameError: subject length is not a codon multiple and
             config.allow_partial is off.
+        GeneNotFoundError: the store has no entry for ``gene``.
+        AlignmentTooLargeError: an entry/subject band exceeds the cell cap.
+        AllAmbiguousError: an all-``N`` entry, only where the walk
+            reaches it (it ranks above the first accepted entry).
+        NoReferenceAcceptedError: every candidate failed the GC gate.
     """
     require_dna(subject, "predict")
     subject_used = _frame_check(subject, config.allow_partial)
 
-    def admits(entry: ReferenceEntry) -> bool:
-        report = composition(entry.sequence)
-        return reference_gate(report, config.gc_threshold) is GateDecision.ACCEPT
+    gated: dict[ReferenceEntry, tuple[CompositionReport, GateDecision] | ScanError] = {}
+    for entry in store.entries_for(gene):
+        try:
+            report = composition(entry.sequence)
+            gated[entry] = report, reference_gate(report, config.gc_threshold)
+        except ScanError as exc:
+            gated[entry] = exc
+    admitted = {
+        entry
+        for entry, outcome in gated.items()
+        if not isinstance(outcome, ScanError) and outcome[1] is GateDecision.ACCEPT
+    }
 
-    candidates = best_homolog(store, subject_used, gene, admits)
     trace: list[GateAttempt] = []
-    accepted: RankedCandidate | None = None
-    gc_report: CompositionReport | None = None
-    for candidate in candidates:
-        report = composition(candidate.entry.sequence)
-        decision = reference_gate(report, config.gc_threshold)
-        trace.append(
-            GateAttempt(
-                source=candidate.entry.source,
-                gc_percent=report.gc_percent,
-                decision=decision,
-            )
-        )
+    for candidate in best_homolog(store, subject_used, gene, admitted):
+        outcome = gated[candidate.entry]
+        if isinstance(outcome, ScanError):
+            raise outcome
+        gc_report, decision = outcome
+        trace.append(GateAttempt(candidate.entry.source, gc_report.gc_percent, decision))
         if decision is GateDecision.ACCEPT:
-            accepted, gc_report = candidate, report
             break
-    if accepted is None or gc_report is None:
+    else:
         raise NoReferenceAcceptedError(tuple(trace))
 
-    calls = call_mutations(accepted.alignment)
+    calls = call_mutations(candidate.alignment)
     verdict = Verdict(
         mutations=calls,
         annotations=classify(db, calls),
-        reference_used=ReferenceDescriptor.from_entry(accepted.entry),
+        reference_used=ReferenceDescriptor.from_entry(candidate.entry),
         gc_report=gc_report,
         gate_trace=tuple(trace),
     )

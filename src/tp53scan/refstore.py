@@ -5,18 +5,18 @@ plus a ``manifest.tsv`` naming each entry's file, gene, source label and
 fallback priority. Candidates for a gene are ranked by alignment score
 against the query, best first, with priority breaking ties. Each ranked
 candidate keeps its alignment, so calling can reuse it. A caller that
-passes its reference gate gets the ranking only as far as the first
-entry the gate admits.
+passes the entries its reference gate admits gets the ranking only as
+far as the first of them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
 from .alignment import DNA_SCHEME, AlignmentResult, align_global
-from .errors import GeneNotFoundError, ManifestError, ScanError
+from .errors import GeneNotFoundError, ManifestError
 from .seqio import Alphabet, Sequence, read_fasta, read_text
 
 MANIFEST_NAME = "manifest.tsv"
@@ -129,7 +129,7 @@ def best_homolog(
     store: ReferenceStore,
     query: Sequence,
     gene: str,
-    admits: Callable[[ReferenceEntry], bool] | None = None,
+    admitted: Collection[ReferenceEntry] = (),
 ) -> tuple[RankedCandidate, ...]:
     """Rank a gene's entries by similarity to the query, best first.
 
@@ -138,16 +138,14 @@ def best_homolog(
     use; the score does not depend on the order. Ties go to the
     lower priority number; remaining ties keep manifest order.
 
-    With ``admits`` (the caller's reference gate), only the ranking
-    through the first admitted entry is returned, exact, or every entry
-    if none is admitted. Entries are aligned in priority order, manifest
-    order breaking ties. The best-ranked admitted entry so far is the
-    leader, and each later entry is aligned with the leader's score as
-    its floor: one that cannot reach it ranks below the leader, so it
-    is dropped without a traceback. Only entries aligned exactly are
-    gated. A gate that raises a ScanError counts as a refusal; the
-    caller's walk over the returned ranking meets the error again if
-    that entry ranks above the first admitted one.
+    Given the ``admitted`` entries (those the caller's reference gate
+    accepts), only the ranking through the first admitted entry is
+    returned, exact, or every entry if none is admitted. Entries are
+    aligned in priority order, manifest order breaking ties. The
+    best-ranked admitted entry so far is the leader, and each later
+    entry is aligned with the leader's score as its floor: one that
+    cannot reach it ranks below the leader, so it is dropped without a
+    traceback.
 
     Raises:
         GeneNotFoundError: the store has no entry for ``gene``.
@@ -169,20 +167,10 @@ def best_homolog(
             continue
         candidate = RankedCandidate(entry, alignment)
         ranked.append(candidate)
-        if (
-            admits is not None
-            and (leader is None or rank(candidate) < rank(leader))
-            and _admitted(admits, entry)
-        ):
+        if entry in admitted and (leader is None or rank(candidate) < rank(leader)):
             leader = candidate
     ranked.sort(key=rank)
     if leader is not None:
         del ranked[ranked.index(leader) + 1 :]
     return tuple(ranked)
 
-
-def _admitted(admits: Callable[[ReferenceEntry], bool], entry: ReferenceEntry) -> bool:
-    try:
-        return admits(entry)
-    except ScanError:
-        return False

@@ -197,12 +197,12 @@ def oracle_full_alignment(a: str, b: str, scheme: ScoringScheme) -> OracleAlignm
 
 
 def exhaustive_ranking(
-    store: ReferenceStore, query: Sequence, gene: str, admits: object = None
+    store: ReferenceStore, query: Sequence, gene: str, admitted: object = ()
 ) -> tuple[RankedCandidate, ...]:
     """Every entry for ``gene`` aligned on the full matrix and sorted as
     ranking sorts (score, then priority, then manifest order). It takes
-    ``best_homolog``'s arguments but ignores the gate: this is the
-    ranking as it was before ranking stopped at the gate's leader."""
+    ``best_homolog``'s arguments but ignores ``admitted``: this is the
+    ranking as it was before ranking stopped at the leader."""
     ranked = []
     for entry in store.entries_for(gene):
         want = oracle_full_alignment(entry.sequence.residues, query.residues, DNA_SCHEME)

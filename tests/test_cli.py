@@ -298,6 +298,15 @@ def test_predict_threshold_validated(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "gc"])
+def test_bad_threshold_is_a_usage_error_before_any_file_is_read(tmp_path, command, capsys):
+    missing = str(tmp_path / "missing.fa")
+    assert run([command, missing, "--threshold", "150"]) == 2
+    err = capsys.readouterr().err
+    assert "threshold must be within [0, 100], got 150.0" in err
+    assert "FileNotFoundError" not in err
+
+
 def test_predict_rejects_the_removed_cap_flag(capsys):
     assert run(["predict", SUBJECT, "--prefix-cap", "10"]) == 2
     assert "unrecognized arguments: --prefix-cap" in capsys.readouterr().err

@@ -197,6 +197,41 @@ def test_each_candidate_is_aligned_once(monkeypatch, store, db, subject_r248w):
     assert [m.codon_number for m in report.verdict.mutations.mutations] == [248]
 
 
+def _count_compositions(monkeypatch) -> list[str]:
+    gated: list[str] = []
+
+    def counted(seq):
+        gated.append(seq.id)
+        return composition(seq)
+
+    monkeypatch.setattr(pipeline, "composition", counted)
+    return gated
+
+
+def test_each_entry_of_the_gene_is_gated_once(monkeypatch, store, db, subject_r248w):
+    gated = _count_compositions(monkeypatch)
+    predict(store, db, subject_r248w, "TP53")
+    assert sorted(gated) == sorted(e.sequence.id for e in store.entries_for("TP53"))
+
+
+def test_rejected_leader_is_gated_once(monkeypatch, tmp_path, db):
+    # low-src ranks first (it is the subject) and is rejected; raised-src
+    # is accepted; the other gene's entry is never gated
+    low, raised = low_gc_pair()
+    store = write_store(
+        tmp_path / "store",
+        [
+            ("TP53", "low-src", 1, low),
+            ("BRCA1", "other-gene", 1, dna("GC" * 20, "other_gene")),
+            ("TP53", "raised-src", 2, raised),
+        ],
+    )
+    gated = _count_compositions(monkeypatch)
+    report = predict(store, db, low, "TP53")
+    assert [a.source for a in report.verdict.gate_trace] == ["low-src", "raised-src"]
+    assert sorted(gated) == ["low_gc_entry", "raised_gc_entry"]
+
+
 @pytest.mark.parametrize("all_n_priority", [1, 3])
 @pytest.mark.parametrize("all_n_ranks", ["below", "above"])
 def test_gate_error_raises_only_where_the_walk_reaches_it(

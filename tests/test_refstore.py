@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tp53scan import refstore
 from tp53scan.alignment import align_global
-from tp53scan.errors import AllAmbiguousError, GeneNotFoundError, ManifestError
+from tp53scan.errors import GeneNotFoundError, ManifestError
 from tp53scan.refstore import (
     ReferenceEntry,
     ReferenceStore,
@@ -184,7 +184,8 @@ def test_ranking_is_deterministic(store, subject_r248w):
 def test_gated_ranking_ends_at_the_first_admitted_entry(
     store, subject_r248w, admitted: set[str], want: list[str]
 ):
-    ranked = best_homolog(store, subject_r248w, "TP53", lambda e: e.source in admitted)
+    entries = {e for e in store.entries_for("TP53") if e.source in admitted}
+    ranked = best_homolog(store, subject_r248w, "TP53", entries)
     assert [c.entry.source for c in ranked] == want
     assert ranked == best_homolog(store, subject_r248w, "TP53")[: len(want)]
 
@@ -203,8 +204,8 @@ def test_entries_after_the_leader_are_aligned_with_its_score_as_floor(
         return result
 
     monkeypatch.setattr(refstore, "align_global", recorded)
-    (leader,) = best_homolog(store, subject_r248w, "TP53", lambda e: True)
     ncbi, ebi = store.entries_for("TP53")
+    (leader,) = best_homolog(store, subject_r248w, "TP53", {ncbi, ebi})
     assert leader.entry is ncbi
     assert calls == [
         (ncbi.sequence.id, None, False),
@@ -213,27 +214,15 @@ def test_entries_after_the_leader_are_aligned_with_its_score_as_floor(
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    case=small_stores(),
-    gate=st.lists(st.sampled_from(["admit", "refuse", "raise"]), min_size=5, max_size=5),
-)
-def test_gated_ranking_is_the_exhaustive_ranking_through_the_first_admitted(
-    case, gate: list[str]
-):
-    # the exhaustive ranking, cut after the first entry the gate admits;
-    # a gate that raises a ScanError refuses
+@given(case=small_stores(), data=st.data())
+def test_gated_ranking_is_the_exhaustive_ranking_through_the_first_admitted(case, data):
+    # the exhaustive ranking, cut after the first admitted entry
     subject, store = case
-    decision = {e.source: gate[k] for k, e in enumerate(store.entries)}
-
-    def admits(entry) -> bool:
-        if decision[entry.source] == "raise":
-            raise AllAmbiguousError(entry.source)
-        return decision[entry.source] == "admit"
-
+    admitted = {e for e in store.entries if data.draw(st.booleans(), label=e.source)}
     full = exhaustive_ranking(store, subject, "TP53")
-    firsts = [k for k, c in enumerate(full) if decision[c.entry.source] == "admit"]
+    firsts = [k for k, c in enumerate(full) if c.entry in admitted]
     want = full[: firsts[0] + 1] if firsts else full
-    assert best_homolog(store, subject, "TP53", admits) == want
+    assert best_homolog(store, subject, "TP53", admitted) == want
 
 
 def test_ranking_compares_whole_sequences(tmp_path):
