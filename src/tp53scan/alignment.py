@@ -9,11 +9,12 @@ a band of diagonals that provably holds every optimal path (Fickett
 only: memory is O((n + m) * band width), 8 bytes per cell. A band of
 one diagonal needs no DP at all. A caller that only wants alignments
 scoring at least some floor (a ranking leader's score) passes it: the
-band then only has to hold paths that reach the floor, and an
-alignment that cannot is refused before any traceback. The traceback
-checks diagonal runs a chunk at a time and steps through gap runs cell
-by cell. It is deterministic: at every choice point Match/Mismatch is
-preferred over Delete, and Delete over Insert.
+band then only has to hold paths that reach the target, the larger of
+the seed's score and the floor, and an alignment below the floor is
+refused before any traceback. The traceback reads the cells as the
+fill stored them, checks diagonal runs a chunk at a time and steps
+through gap runs cell by cell. It is deterministic: at every choice
+point Match/Mismatch is preferred over Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -186,10 +187,10 @@ def _fill_band(
 
     Cells are stored shifted: cell (i, j) holds its score minus
     (i + j + 1 - first) * gap_extend, that is ((1 + step) * i + c) *
-    gap_extend for storage column c (_cell undoes it). The shift grows
-    by gap_extend with each step right or down, so it pays every extend
-    cost in advance, and with o = gap_open - gap_extend the recurrences
-    lose their extend terms:
+    gap_extend for storage column c. The shift grows by gap_extend with
+    each step right or down, so it pays every extend cost in advance,
+    and with o = gap_open - gap_extend the recurrences lose their extend
+    terms:
 
         M = top(i-1, j-1) + sub - 2 * gap_extend   (folded into windows)
         X = max(X(i-1, j), top(i-1, j) + o)
@@ -276,63 +277,52 @@ def _fill_band(
     return mat_m, mat_x, y_row, step, first
 
 
-def _cell(mat: np.ndarray, i: int, j: int, step: int, first: int, gap_extend: int) -> float:
-    """Score of cell (i, j) of a filled band: the stored value plus the
-    shift _fill_band took off."""
-    return mat.item(i, j - step * i - first + 1) + (i + j + 1 - first) * gap_extend
-
-
 def _traceback(
     a: str,
     b: str,
     scheme: ScoringScheme,
     mat_m: np.ndarray,
     mat_x: np.ndarray,
-    y_end: float,
+    ends: tuple[float, float, float],
     step: int,
-    first: int,
+    end: int,
 ) -> tuple[str, str]:
     """Walk one optimal path back to (0, 0); returns the two gapped rows.
 
-    ``y_end`` is Y at the end cell, the only Y value the walk needs:
-    elsewhere a state is Y when it is neither M nor X. All cell values
-    are integer-valued floats, so exact equality against candidate
-    predecessors is safe. Preference order M > X > Y applies at the end
-    cell and at every step. A predecessor outside the band reads -inf
-    and is never chosen.
+    The walk compares the values _fill_band stored, shift included.
+    ``ends`` holds stored M, X and Y at the end cell (n, m), which sits
+    in storage column ``end`` of the last row; Y there is the only Y
+    value the walk needs: elsewhere a state is Y when it is neither M
+    nor X. The predecessors of a state all sit in one cell and share
+    its shift, so, as in the fill, a diagonal step adds that cell's
+    window score, an open adds gap_open - gap_extend and an extend adds
+    nothing. All values are integer-valued floats, so exact equality
+    against candidate predecessors is safe. Preference order M > X > Y
+    applies at the end cell and at every step. A predecessor outside
+    the band reads -inf and is never chosen.
 
-    In state M the walk takes a diagonal run at once. It stays in M past
-    a cell while the stored M up the diagonal equals this cell's stored
-    M minus its window score: along a diagonal the shifts differ by
-    exactly the 2 * gap_extend folded into that score. The check runs
-    on up to _RUN_CHUNK cells per numpy pass, in float64 so the
-    subtraction is exact, which bounds the cells looked at past the end
-    of a run; the run is emitted as two string slices. Where a run ends,
-    and in the gap states, the walk steps one cell at a time on
-    unshifted values (_cell), as the full-matrix walk does, so every
-    tie rule holds.
+    In state M the walk takes a diagonal run at once: it stays in M
+    past a cell while the stored M up the diagonal equals this cell's
+    stored M minus its window score. The check runs on up to _RUN_CHUNK
+    cells per numpy pass, in float64 so the subtraction is exact, which
+    bounds the cells looked at past the end of a run; the run is
+    emitted as two string slices. Where a run ends, and in the gap
+    states, the walk steps one cell at a time.
     """
-    go, ge = float(scheme.gap_open), float(scheme.gap_extend)
+    reopen = float(scheme.gap_open - scheme.gap_extend)
     # the window scores of _fill_band, as integers
     hit = scheme.match - 2 * scheme.gap_extend
     miss = scheme.mismatch - 2 * scheme.gap_extend
     i, j = len(a), len(b)
 
-    def at(mat: np.ndarray, i: int, j: int) -> float:
-        return _cell(mat, i, j, step, first, scheme.gap_extend)
-
-    # M flattened: cell (i, j) sits at i * cols + its column, and the
-    # cell up the diagonal, (i-1, j-1), sits ``up`` places before it
+    # cell (i, j) sits at ``at`` in M and X flattened; (i-1, j-1) sits
+    # ``diag`` places before it, (i-1, j) ``up`` places and (i, j-1) one
     flat_m, cols = mat_m.reshape(-1), mat_m.shape[1]
-    up = cols + 1 - step
+    diag, up = cols + 1 - step, cols - step
+    at = i * cols + end
 
-    state = "M"
-    here = at(mat_m, i, j)
-    if at(mat_x, i, j) > here:
-        state, here = "X", at(mat_x, i, j)
-    if y_end > here:
-        state, here = "Y", y_end
-
+    here = max(ends)
+    state = "MXY"[ends.index(here)]
     cols_a: list[str] = []
     cols_b: list[str] = []
     while i > 0 or j > 0:
@@ -340,8 +330,7 @@ def _traceback(
             # cells (i-k, j-k) .. (i, j) of the diagonal; int64 scores
             # make the check float64
             k = min(_RUN_CHUNK, i, j)
-            end = i * cols + j - step * i - first + 1
-            run_cells = flat_m[end - k * up : end + 1 : up]
+            run_cells = flat_m[at - k * diag : at + 1 : diag]
             codes_a = np.frombuffer(a[i - k : i].encode("ascii"), dtype=np.uint8)
             codes_b = np.frombuffer(b[j - k : j].encode("ascii"), dtype=np.uint8)
             scores = np.where(codes_a == codes_b, hit, miss)
@@ -349,36 +338,31 @@ def _traceback(
             run = k - int(breaks[-1]) if len(breaks) else k
             cols_a.append(a[i - run : i])
             cols_b.append(b[j - run : j])
-            i, j = i - run, j - run
-            here = at(mat_m, i + 1, j + 1) - float(
-                scheme.match if a[i] == b[j] else scheme.mismatch
-            )
-            if at(mat_m, i, j) == here:
+            i, j, at = i - run, j - run, at - run * diag
+            here = mat_m.item(at + diag) - (hit if a[i] == b[j] else miss)
+            if mat_m.item(at) == here:
                 state = "M"
-            elif at(mat_x, i, j) == here:
+            elif mat_x.item(at) == here:
                 state = "X"
             else:
                 state = "Y"
         elif state == "X":
             cols_a.append(a[i - 1])
             cols_b.append(GAP)
-            i -= 1
-            if at(mat_m, i, j) + go == here:
-                state, here = "M", here - go
-            elif at(mat_x, i, j) + ge == here:
-                state, here = "X", here - ge
-            else:
-                state, here = "Y", here - go
+            i, at = i - 1, at - up
+            if mat_m.item(at) + reopen == here:
+                state, here = "M", here - reopen
+            elif mat_x.item(at) != here:  # not an extend, so Y opened it
+                state, here = "Y", here - reopen
         else:
             cols_a.append(GAP)
             cols_b.append(b[j - 1])
-            j -= 1
-            if at(mat_m, i, j) + go == here:
-                state, here = "M", here - go
-            elif at(mat_x, i, j) + go == here:
-                state, here = "X", here - go
-            else:
-                state, here = "Y", here - ge
+            j, at = j - 1, at - 1
+            if mat_m.item(at) + reopen == here:
+                state, here = "M", here - reopen
+            elif mat_x.item(at) + reopen == here:
+                state, here = "X", here - reopen
+            # otherwise an extend: state and value stay
     cols_a.reverse()
     cols_b.reverse()
     return "".join(cols_a), "".join(cols_b)
@@ -573,17 +557,20 @@ def align_global(
     The DP is filled once, on a band of diagonals around the corridor
     from diagonal 0 to diagonal len(b) - len(a). A seed path built from
     shared words (_seed) scores L, a lower bound on the optimum. The
-    slack is the smallest whose exit bound lies below T = max(L,
-    ``floor``): every path that leaves the band scores below T. If the
-    in-band optimum is below ``floor``, so is every path, and the result
-    is None, found before any traceback, and often part way through the
-    fill (_fill_band). Otherwise the fill scores at least T, so the band
-    holds every optimal path, and rows, ops and score are the ones the
-    full matrix gives, with or without a floor.
+    slack is the smallest whose exit bound lies below the target T =
+    max(L, ``floor``): every path that leaves the band scores below T.
+    So a band scoring at least T holds every optimal path, and rows, ops
+    and score are the ones the full matrix gives, with or without a
+    floor. A band scoring below T, or a fill refused part way
+    (_fill_band), holds no path that reaches T. When T is ``floor``,
+    neither does the matrix, and the result is None, found before any
+    traceback. When T is L, the seed path lies inside the band, so a
+    band below it means the seed is wrong, and AssertionError is raised.
 
     A band of one diagonal (len(a) == len(b), slack 0) holds only the
-    gapless path, so that path is the optimum: its rows are the inputs
-    and its score their summed pair scores, with no fill or traceback.
+    gapless path, so that path is the in-band optimum: its rows are the
+    inputs and its score their summed pair scores, with no fill or
+    traceback.
 
     Raises:
         AlphabetMismatchError: if the sequences use different alphabets.
@@ -601,32 +588,29 @@ def align_global(
     seed = _seed(a, b, scheme)
     target = seed.score if floor is None else max(seed.score, floor)
     slack = _slack_beating(n, m, target, scheme)
-    if n == m and slack == 0:
+    one_diagonal = n == m and slack == 0
+    score = None  # stays None when the fill is refused
+    if one_diagonal:
         codes_a = np.frombuffer(a.residues.encode("ascii"), dtype=np.uint8)
         codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
         same = int(np.count_nonzero(codes_a == codes_b))
         score = scheme.match * same + scheme.mismatch * (n - same)
-        if floor is not None and score < floor:
+    elif (filled := _fill_band(a.residues, b.residues, scheme, slack, floor)) is not None:
+        mat_m, mat_x, y_last, step, first = filled
+        end = m - step * n - first + 1  # the storage column of cell (n, m)
+        ends = (mat_m.item(n, end), mat_x.item(n, end), y_last.item(end - 1))
+        score = int(max(ends)) + (n + m + 1 - first) * scheme.gap_extend
+    if score is None or score < target:
+        if target == floor:
             return None
-        return AlignmentResult(aligned_a=a.residues, aligned_b=b.residues, score=score)
-
-    filled = _fill_band(a.residues, b.residues, scheme, slack, floor)
-    if filled is None:
-        return None
-    mat_m, mat_x, y_last, step, first = filled
-    ge = scheme.gap_extend
-    y_end = y_last.item(m - step * n - first) + (n + m + 1 - first) * ge
-    score = int(
-        max(_cell(mat_m, n, m, step, first, ge), _cell(mat_x, n, m, step, first, ge), y_end)
-    )
-    if floor is not None and score < floor:
-        return None
-    if not (_covers_matrix(n, m, slack) or score > _exit_bound(n, m, slack, scheme)):
         raise AssertionError(
-            f"seeded band refused: slack {slack}, target {target}, band score {score}"
+            f"seeded band below its target: slack {slack}, target {target}, "
+            f"band score {score}"
         )
+    if one_diagonal:
+        return AlignmentResult(aligned_a=a.residues, aligned_b=b.residues, score=score)
     aligned_a, aligned_b = _traceback(
-        a.residues, b.residues, scheme, mat_m, mat_x, y_end, step, first
+        a.residues, b.residues, scheme, mat_m, mat_x, ends, step, end
     )
     # free the band before the ops pass allocates its own arrays
     del mat_m, mat_x

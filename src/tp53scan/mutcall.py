@@ -1,9 +1,11 @@
 """Codon-level mutation calling from a reference/subject alignment.
 
-Codon numbers are 1-based reference coordinates: gaps in the reference
-row never advance the count. Indels are flagged, not codon-resolved, so
-substitutions are reported only for codons whose three reference bases
-came through the alignment uninterrupted.
+Calls are read from the alignment's run-length ops, one run at a time:
+Match, Mismatch and Delete runs advance the reference position, Insert
+runs do not. Codon numbers are 1-based reference coordinates. Indels
+are flagged, not codon-resolved, so substitutions are reported only for
+codons whose three reference bases came through the alignment
+uninterrupted.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .alignment import GAP, AlignmentResult
+from .alignment import AlignmentResult, AlignOp
 from .seqio import DNA_RESIDUES
 from .translation import aa_for
 
@@ -96,33 +98,34 @@ def call_mutations(alignment: AlignmentResult) -> MutationCallSet:
 
     The first row is the reference, the second the subject, as
     ``align_global(ref_cds, subj_cds)`` returns them; reference codons
-    are read from the degapped first row.
+    are read from the degapped first row, subject bases from the second
+    row's Mismatch runs.
 
     A codon is reported only when its three reference bases survive the
-    alignment without an interrupting gap column: a Delete inside the
-    triple, or an Insert strictly between two of its bases, suppresses
+    alignment without an interrupting gap run: a Delete run over any of
+    its bases, or an Insert run strictly between two of them, suppresses
     the call (the indel flag still records that something happened).
     Substitutions in a trailing partial codon are dropped, mirroring how
     translation ignores trailing residues.
     """
-    has_indel = False
-    dirty: set[int] = set()  # codon numbers compromised by a gap column
+    dirty: set[int] = set()  # codon numbers compromised by a gap run
     subst: dict[int, str] = {}  # 1-based ref position -> subject base
-    ref_pos = 0
-    for ca, cb in zip(alignment.aligned_a, alignment.aligned_b):
-        if ca == GAP:
-            has_indel = True
+    ref_pos = col = 0  # ref bases and columns before the run
+    for op, count in alignment.ops:
+        if op is AlignOp.INSERT:
             # insertion after ref_pos; only an off-boundary one breaks a triple
             if ref_pos % 3 != 0:
                 dirty.add((ref_pos + 2) // 3)
-            continue
-        ref_pos += 1
-        codon_no = (ref_pos + 2) // 3
-        if cb == GAP:
-            has_indel = True
-            dirty.add(codon_no)
-        elif ca != cb:
-            subst[ref_pos] = cb
+        else:
+            if op is AlignOp.DELETE:
+                # the codons of ref positions ref_pos + 1 .. ref_pos + count
+                dirty.update(range(ref_pos // 3 + 1, (ref_pos + count + 2) // 3 + 1))
+            elif op is AlignOp.MISMATCH:
+                bases = alignment.aligned_b[col : col + count]
+                subst.update(zip(range(ref_pos + 1, ref_pos + count + 1), bases))
+            ref_pos += count
+        col += count
+    has_indel = any(op in (AlignOp.INSERT, AlignOp.DELETE) for op, _ in alignment.ops)
 
     ref = alignment.degapped_a()
     n_codons = len(ref) // 3

@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: one
 alignment oracle enumerates every monotone alignment path, the other
 fills the whole Gotoh matrix (the aligner the banded one replaced), the
 ranking oracle aligns every store entry on that full matrix, the ops
-oracle reads gapped rows one column at a time, and the query oracle is
-a plain linear scan with its own normalization.
+and calling oracles read gapped rows one column at a time, and the
+query oracle is a plain linear scan with its own normalization.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tp53scan.alignment import DNA_SCHEME, GAP, AlignmentResult, AlignOp, ScoringScheme
+from tp53scan.mutcall import CodonMutation, MutationCallSet
 from tp53scan.mutdb import Database, MutationRecord
 from tp53scan.refstore import RankedCandidate, ReferenceEntry, ReferenceStore, load_store
 from tp53scan.seqio import Alphabet, FastaDocument, Sequence, write_fasta
@@ -256,6 +257,57 @@ def oracle_column_ops(a: str, b: str) -> tuple[tuple[AlignOp, int], ...]:
     time: the rule ``AlignmentResult`` applied before it used numpy."""
     runs = groupby(map(_op_for_column, a, b))
     return tuple((op, len(list(r))) for op, r in runs)
+
+
+def oracle_call_mutations(alignment: AlignmentResult) -> MutationCallSet:
+    """``call_mutations`` read off the gapped rows one column at a time,
+    without the run-length ops."""
+    has_indel = False
+    dirty: set[int] = set()  # codon numbers compromised by a gap column
+    subst: dict[int, str] = {}  # 1-based ref position -> subject base
+    ref_pos = 0
+    for ca, cb in zip(alignment.aligned_a, alignment.aligned_b):
+        if ca == GAP:
+            has_indel = True
+            # insertion after ref_pos; only an off-boundary one breaks a triple
+            if ref_pos % 3 != 0:
+                dirty.add((ref_pos + 2) // 3)
+            continue
+        ref_pos += 1
+        codon_no = (ref_pos + 2) // 3
+        if cb == GAP:
+            has_indel = True
+            dirty.add(codon_no)
+        elif ca != cb:
+            subst[ref_pos] = cb
+
+    ref = alignment.degapped_a()
+    n_codons = len(ref) // 3
+    mutations: list[CodonMutation] = []
+    for codon_no in sorted({(p + 2) // 3 for p in subst}):
+        if codon_no in dirty or codon_no > n_codons:
+            continue
+        start = 3 * (codon_no - 1)
+        ref_codon = ref[start : start + 3]
+        alt_codon = "".join(subst.get(start + k + 1, ref_codon[k]) for k in range(3))
+        mutations.append(CodonMutation(codon_no, ref_codon, alt_codon))
+    return MutationCallSet(tuple(mutations), has_indel, not has_indel and not subst)
+
+
+@st.composite
+def gapped_rows(draw) -> tuple[str, str]:
+    """Two gapped rows of 1-8 runs, each of 1-7 columns: both rows drawn
+    freely (matches and substitutions), a deletion or an insertion. Gap
+    runs can start at any codon phase and cross codon boundaries, and
+    the reference's length need not be a multiple of 3."""
+    row_a, row_b = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.integers(1, 7))
+        bases = st.text(alphabet="ACGT", min_size=size, max_size=size)
+        kind = draw(st.sampled_from(["columns", "delete", "insert"]))
+        row_a.append(GAP * size if kind == "insert" else draw(bases))
+        row_b.append(GAP * size if kind == "delete" else draw(bases))
+    return "".join(row_a), "".join(row_b)
 
 
 def rescore_alignment(aligned_a: str, aligned_b: str, scheme: ScoringScheme) -> int:

@@ -461,6 +461,26 @@ def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
     assert fills == [None]
 
 
+@pytest.mark.parametrize("pair", ["bundled", "divergent"])
+def test_seed_above_the_optimum_raises_unless_the_floor_sets_the_target(
+    pair: str, reference_cds, subject_r248w
+):
+    # a seed is a lower bound: one scoring above the optimum sizes a band
+    # that no path fills to its score. With the seed as the target, on
+    # the one-diagonal path (bundled) and the fill (divergent) alike,
+    # that is a fault; with a floor at or above it, a refusal.
+    a, b = (reference_cds, subject_r248w) if pair == "bundled" else _divergent_pair()
+    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
+    wrong = alignment._seed(a, b, DNA_SCHEME)._replace(score=best + 1)
+    with mock.patch.object(alignment, "_seed", return_value=wrong):
+        assert _one_diagonal(a, b) is (pair == "bundled")
+        for floor in (None, best - 50, best):
+            with pytest.raises(AssertionError, match="below its target"):
+                align_global(a, b, DNA_SCHEME, floor=floor)
+        for floor in (best + 1, best + 50):
+            _assert_floor_law(a, b, DNA_SCHEME, floor)
+
+
 @settings(max_examples=8, deadline=None)
 @given(pair=_near_diagonal_pairs(), offset=st.integers(-40, 40))
 def test_floor_law_on_near_diagonal_pairs(pair: tuple[str, str], offset: int):

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tp53scan.alignment import DNA_SCHEME, align_global
+from tp53scan.alignment import DNA_SCHEME, AlignmentResult, align_global
 from tp53scan.mutcall import (
     CodonMutation,
     MutationCallSet,
@@ -15,7 +15,7 @@ from tp53scan.mutcall import (
 )
 from tp53scan.translation import translate
 
-from support import dna
+from support import dna, gapped_rows, oracle_call_mutations
 
 
 def test_worked_example_r248w(reference_cds, subject_r248w):
@@ -199,3 +199,17 @@ def test_completeness_and_translation_consistency(data):
         assert ref_protein[m.codon_number - 1] == m.ref_aa
         assert subj_protein[m.codon_number - 1] == m.alt_aa
         assert classify_kind(m.ref_aa, m.alt_aa) is m.kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=gapped_rows())
+# an Insert run off a codon boundary next to a substitution; Delete
+# runs starting at phases 0 and 2 and crossing a boundary, on a
+# 13-base reference; an Insert run on a boundary
+@example(rows=("AC--GTACGTAC", "ACTTGTACCTAC"))
+@example(rows=("ACGTACGTACGTA", "ACG----TAC-TA"))
+@example(rows=("ACG---TACGTAA", "ACGCCCTACGTTA"))
+def test_calls_match_the_column_walk(rows: tuple[str, str]):
+    # calling reads runs of ops; the oracle reads the rows column by column
+    alignment = AlignmentResult(*rows, score=0)
+    assert call_mutations(alignment) == oracle_call_mutations(alignment)
