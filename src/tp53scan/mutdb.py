@@ -4,17 +4,20 @@ The file needs a header row naming at least codon, wt_codon, mut_codon,
 wt_aa, mut_aa and tumor_type; other columns ride along as extra fields
 and stay queryable. Loading is all-or-nothing: the first bad row
 aborts with its line number.
+
+A loaded database is held as columns, so each rule runs once per
+distinct value and a row becomes a ``MutationRecord`` only when a
+lookup returns it.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
-from contextlib import suppress
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable
 
 from .errors import (
     BadRowError,
@@ -68,57 +71,127 @@ class MutationRecord:
             if aa not in PROTEIN_RESIDUES:
                 raise ValueError(f"{name} must be one amino-acid letter, got {aa!r}")
 
-    def field_text(self, name: str) -> str:
-        """Raw text for one queryable field (codon rendered as decimal)."""
-        if name == "codon":
-            return str(self.codon_number)
-        if name in COLUMNS:
-            return getattr(self, name)
-        return self.extra[name]
-
 
 @dataclass(frozen=True)
 class Database:
-    """Immutable record collection with a codon lookup index."""
+    """A mutation database held as columns, one tuple per queryable field.
 
-    records: tuple[MutationRecord, ...]
+    ``columns`` holds each field's values in file order: ``codon`` as
+    ints, every other field as trimmed text, with codons and amino acids
+    upper-cased. Rows are indexed by (codon, mut_codon). A row becomes a
+    ``MutationRecord`` only when a lookup or ``records`` returns it, and
+    that record is kept for the next request.
+    """
+
+    columns: Mapping[str, Sequence]
     extra_columns: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        index: dict[int, list[int]] = {}
-        for pos, rec in enumerate(self.records):
-            index.setdefault(rec.codon_number, []).append(pos)
-        object.__setattr__(
-            self, "_codon_index", {k: tuple(v) for k, v in index.items()}
-        )
+        columns = {name: tuple(values) for name, values in self.columns.items()}
+        lengths = {len(values) for values in columns.values()}
+        if set(columns) != {*COLUMNS, *self.extra_columns} or len(lengths) != 1:
+            raise ValueError("columns must be the schema's fields, all of one length")
+        index: dict[int, dict[str, list[int]]] = {}
+        for pos, (codon, mut) in enumerate(zip(columns["codon"], columns["mut_codon"])):
+            index.setdefault(codon, {}).setdefault(mut, []).append(pos)
+        object.__setattr__(self, "columns", MappingProxyType(columns))
+        object.__setattr__(self, "_index", {
+            codon: {mut: tuple(rows) for mut, rows in by_mut.items()}
+            for codon, by_mut in index.items()
+        })
+        object.__setattr__(self, "_built", {})
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["codon"])
 
     @property
     def queryable_fields(self) -> frozenset[str]:
-        return frozenset(COLUMNS) | set(self.extra_columns)
+        return frozenset(self.columns)
 
-    def rows_at_codon(self, codon_number: int) -> tuple[int, ...]:
-        return self._codon_index.get(codon_number, ())
+    @property
+    def records(self) -> Sequence[MutationRecord]:
+        """Every row as a record, in file order: a read-only view that
+        builds each record on first access and keeps it."""
+        return _Records(self)
+
+    def rows_at(self, codon: int, mut_codon: str | None = None) -> Sequence[int]:
+        """Positions of the rows at a codon, in file order; given a
+        ``mut_codon``, only the rows that list it."""
+        by_mut = self._index.get(codon, {})
+        if mut_codon is not None:
+            return by_mut.get(mut_codon, ())
+        return sorted(chain.from_iterable(by_mut.values()))
+
+    def _record(self, pos: int) -> MutationRecord:
+        record = self._built.get(pos)
+        if record is None:
+            cell = {name: values[pos] for name, values in self.columns.items()}
+            extra = {name: cell.pop(name) for name in self.extra_columns}
+            record = self._built[pos] = MutationRecord(
+                codon_number=cell.pop("codon"), **cell, extra=extra
+            )
+        return record
+
+
+class _Records(Sequence):
+    """Read-only view of a database's rows as records."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, db: Database) -> None:
+        self._db = db
+
+    def __len__(self) -> int:
+        return len(self._db)
+
+    def __getitem__(self, index):
+        positions = range(len(self._db))
+        if isinstance(index, slice):
+            return tuple(map(self._db._record, positions[index]))
+        return self._db._record(positions[index])
+
+
+def parse_codon_number(text: str) -> int:
+    """The codon-number rule: one or more ASCII decimal digits.
+
+    ``int`` alone would also read ``2_48``, ``+175`` and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"codon {text!r} is not an integer")
+    return int(text)
+
+
+def _upper(cell: str) -> str:
+    return cell.strip().upper()
+
+
+# how a column's cell text becomes its value; other columns are trimmed
+_READERS = {
+    "codon": lambda cell: parse_codon_number(cell.strip()),
+    **dict.fromkeys(("wt_codon", "mut_codon", "wt_aa", "mut_aa"), _upper),
+}
 
 
 def load_db(path: str | Path) -> Database:
     """Load a TSV mutation database, rejecting any malformed row.
 
-    Codon and amino-acid cells are stripped and upper-cased; the
-    record's own checks then decide whether the row is well formed.
+    Codon and amino-acid cells are stripped and upper-cased. Each
+    column reads each distinct cell text once, and equal cells share
+    one value. A record's own checks run once for the first row of each
+    distinct (codon, wt_codon, mut_codon, wt_aa, mut_aa) key; only the
+    record id is checked on every row.
 
     Raises:
         MissingColumnError: a required column is absent from the header.
         BadRowError: a data row is malformed (carries the 1-based line).
         EmptyDatabaseError: the file holds a header but no data rows.
     """
-    lines = read_text(path).splitlines()
-    if not lines or not lines[0].strip():
+    lines = iter(read_text(path).splitlines())
+    header_line = next(lines, "")
+    if not header_line.strip():
         raise MissingColumnError(REQUIRED_COLUMNS[0])
 
-    header = [h.strip() for h in lines[0].split("\t")]
+    header = [h.strip() for h in header_line.split("\t")]
     positions: dict[str, int] = {}
     for pos, name in enumerate(header):
         if name in positions:
@@ -129,9 +202,17 @@ def load_db(path: str | Path) -> Database:
             raise MissingColumnError(name)
     extra_columns = tuple(name for name in header if name not in COLUMNS)
 
-    records: list[MutationRecord] = []
+    id_at = positions.get("record_id")
+    stored = [name for name in header if name != "record_id"]
+    columns: dict[str, list] = {name: [] for name in stored}
+    # per stored column: its values, and a memo from cell text to value
+    readers = [(columns[name], {}, _READERS.get(name, str.strip)) for name in stored]
+    # the fields a record's checks read, in MutationRecord's field order
+    codons, wts, muts, wt_aas, mut_aas = (columns[name] for name in REQUIRED_COLUMNS[:5])
+    record_ids: list[str] = []
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
+    checked: set[tuple] = set()  # keys whose record checks passed
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         cells = line.split("\t")
@@ -139,46 +220,32 @@ def load_db(path: str | Path) -> Database:
             raise BadRowError(
                 line_no, f"expected {len(header)} fields, got {len(cells)}"
             )
-        raw_codon = cells[positions["codon"]].strip()
-        try:
-            codon_number = int(raw_codon)
-        except ValueError:
-            raise BadRowError(line_no, f"codon {raw_codon!r} is not an integer") from None
+        record_id = cells.pop(id_at).strip() if id_at is not None else f"row{line_no}"
+        for (values, memo, read), cell in zip(readers, cells):
+            value = memo.get(cell)
+            if value is None:
+                try:
+                    value = memo[cell] = read(cell)
+                except ValueError as exc:
+                    raise BadRowError(line_no, str(exc)) from None
+            values.append(value)
 
-        record_id = (
-            cells[positions["record_id"]].strip()
-            if "record_id" in positions
-            else f"row{line_no}"
-        )
         if record_id in seen_ids:
             raise BadRowError(line_no, f"duplicate record_id {record_id!r}")
         seen_ids.add(record_id)
-
-        try:
-            record = MutationRecord(
-                record_id=record_id,
-                codon_number=codon_number,
-                wt_codon=cells[positions["wt_codon"]].strip().upper(),
-                mut_codon=cells[positions["mut_codon"]].strip().upper(),
-                wt_aa=cells[positions["wt_aa"]].strip().upper(),
-                mut_aa=cells[positions["mut_aa"]].strip().upper(),
-                mutation_event=(
-                    cells[positions["mutation_event"]].strip()
-                    if "mutation_event" in positions
-                    else ""
-                ),
-                tumor_type=cells[positions["tumor_type"]].strip(),
-                extra={name: cells[positions[name]].strip() for name in extra_columns},
-            )
-        except ValueError as exc:
-            raise BadRowError(line_no, str(exc)) from None
-        records.append(record)
-    if not records:
+        record_ids.append(record_id)
+        key = (codons[-1], wts[-1], muts[-1], wt_aas[-1], mut_aas[-1])
+        if key not in checked or not record_id:
+            try:
+                MutationRecord(record_id, *key, mutation_event="", tumor_type="")
+            except ValueError as exc:
+                raise BadRowError(line_no, str(exc)) from None
+            checked.add(key)
+    if not record_ids:
         raise EmptyDatabaseError(f"{path}: no data rows")
-    return Database(
-        records=tuple(records),
-        extra_columns=extra_columns,
-    )
+    columns["record_id"] = record_ids
+    columns.setdefault("mutation_event", ("",) * len(record_ids))
+    return Database(columns=columns, extra_columns=extra_columns)
 
 
 @dataclass(frozen=True)
@@ -208,12 +275,9 @@ class FilterQuery:
             if not sep or not name.strip():
                 raise ValueError(f"expected field=value, got {pair!r}")
             name = name.strip()
-            if name == "codon":
-                # a non-integer passes through for __post_init__ to refuse
-                value = value.strip()
-                with suppress(ValueError):
-                    value = int(value)
-            clauses.append((name, value))
+            clauses.append(
+                (name, parse_codon_number(value.strip()) if name == "codon" else value)
+            )
         return cls(clauses=tuple(clauses))
 
 
@@ -230,16 +294,6 @@ class AnnotationResult:
         )
 
 
-def _matches(record: MutationRecord, q: FilterQuery) -> bool:
-    for name, value in q.clauses:
-        if name == "codon":
-            if record.codon_number != value:
-                return False
-        elif _norm(record.field_text(name)) != _norm(str(value)):
-            return False
-    return True
-
-
 def query(db: Database, q: FilterQuery) -> AnnotationResult:
     """All records satisfying every clause, in file order.
 
@@ -250,14 +304,16 @@ def query(db: Database, q: FilterQuery) -> AnnotationResult:
         if name not in db.queryable_fields:
             raise UnknownFieldError(name)
 
-    codon_value = next(
-        (value for name, value in q.clauses if name == "codon"), None
-    )
-    if codon_value is not None:
-        candidates = [db.records[pos] for pos in db.rows_at_codon(codon_value)]
-    else:
-        candidates = list(db.records)
-    return AnnotationResult(tuple(rec for rec in candidates if _matches(rec, q)))
+    codon = next((value for name, value in q.clauses if name == "codon"), None)
+    rows: Sequence[int] = range(len(db)) if codon is None else db.rows_at(codon)
+    for name, value in q.clauses:
+        if name == "codon":
+            continue
+        column, want = db.columns[name], _norm(str(value))
+        # each distinct value among the rows left is normalized once
+        kept = {text for text in {column[pos] for pos in rows} if _norm(text) == want}
+        rows = [pos for pos in rows if column[pos] in kept]
+    return AnnotationResult(tuple(map(db._record, rows)))
 
 
 def classify(db: Database, calls: MutationCallSet) -> AnnotationResult | None:
@@ -269,17 +325,15 @@ def classify(db: Database, calls: MutationCallSet) -> AnnotationResult | None:
     may number against a different transcript. Call codon numbers are
     unique, so each row is visited at most once.
     """
+    record_ids, wt_codons = db.columns["record_id"], db.columns["wt_codon"]
     rows: list[int] = []
     for m in calls.mutations:
         if m.kind is MutationKind.SILENT:
             continue
-        for pos in db.rows_at_codon(m.codon_number):
-            rec = db.records[pos]
-            if rec.mut_codon != m.alt_codon:
-                continue
-            if rec.wt_codon != m.ref_codon:
+        for pos in db.rows_at(m.codon_number, m.alt_codon):
+            if wt_codons[pos] != m.ref_codon:
                 warnings.warn(
-                    f"record {rec.record_id!r} lists wt codon {rec.wt_codon} at "
+                    f"record {record_ids[pos]!r} lists wt codon {wt_codons[pos]} at "
                     f"codon {m.codon_number}, caller saw {m.ref_codon}",
                     WtCodonMismatchWarning,
                     stacklevel=2,
@@ -287,4 +341,4 @@ def classify(db: Database, calls: MutationCallSet) -> AnnotationResult | None:
             rows.append(pos)
     if not rows:
         return None
-    return AnnotationResult(tuple(db.records[pos] for pos in sorted(rows)))
+    return AnnotationResult(tuple(map(db._record, sorted(rows))))

@@ -4,12 +4,15 @@ The oracles here deliberately avoid the library's own algorithms: one
 alignment oracle enumerates every monotone alignment path, the other
 fills the whole Gotoh matrix (the aligner the banded one replaced), the
 ranking oracle aligns every store entry on that full matrix, the ops
-and calling oracles read gapped rows one column at a time, and the
-query oracle is a plain linear scan with its own normalization.
+and calling oracles read gapped rows one column at a time, the loader
+oracle builds one record per row, and the query oracle is a plain
+linear scan with its own normalization.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterable
 from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
@@ -19,9 +22,10 @@ from hypothesis import strategies as st
 
 from tp53scan.alignment import DNA_SCHEME, GAP, AlignmentResult, AlignOp, ScoringScheme
 from tp53scan.mutcall import CodonMutation, MutationCallSet
-from tp53scan.mutdb import Database, MutationRecord
+from tp53scan.errors import BadRowError, EmptyDatabaseError, MissingColumnError
+from tp53scan.mutdb import COLUMNS, REQUIRED_COLUMNS, MutationRecord
 from tp53scan.refstore import RankedCandidate, ReferenceEntry, ReferenceStore, load_store
-from tp53scan.seqio import Alphabet, FastaDocument, Sequence, write_fasta
+from tp53scan.seqio import Alphabet, FastaDocument, Sequence, read_text, write_fasta
 
 _NEG_INF = float("-inf")
 
@@ -327,7 +331,77 @@ def rescore_alignment(aligned_a: str, aligned_b: str, scheme: ScoringScheme) -> 
     return total
 
 
-def scan_query_oracle(db: Database, clauses: list[tuple[str, object]]) -> list[str]:
+def oracle_load_db(path: str | Path) -> tuple[tuple[MutationRecord, ...], tuple[str, ...]]:
+    """``load_db`` row by row: the records and the extra column names.
+
+    Every row is split, checked and built as a ``MutationRecord`` in
+    file order, the loader the columnar one replaced.
+    """
+    lines = read_text(path).splitlines()
+    if not lines or not lines[0].strip():
+        raise MissingColumnError(REQUIRED_COLUMNS[0])
+
+    header = [h.strip() for h in lines[0].split("\t")]
+    positions: dict[str, int] = {}
+    for pos, name in enumerate(header):
+        if name in positions:
+            raise BadRowError(1, f"duplicate column {name!r}")
+        positions[name] = pos
+    for name in REQUIRED_COLUMNS:
+        if name not in positions:
+            raise MissingColumnError(name)
+    extra_columns = tuple(name for name in header if name not in COLUMNS)
+
+    records: list[MutationRecord] = []
+    seen_ids: set[str] = set()
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise BadRowError(
+                line_no, f"expected {len(header)} fields, got {len(cells)}"
+            )
+        raw_codon = cells[positions["codon"]].strip()
+        if not re.fullmatch("[0-9]+", raw_codon, flags=re.ASCII):
+            raise BadRowError(line_no, f"codon {raw_codon!r} is not an integer")
+
+        record_id = (
+            cells[positions["record_id"]].strip()
+            if "record_id" in positions
+            else f"row{line_no}"
+        )
+        if record_id in seen_ids:
+            raise BadRowError(line_no, f"duplicate record_id {record_id!r}")
+        seen_ids.add(record_id)
+
+        try:
+            record = MutationRecord(
+                record_id=record_id,
+                codon_number=int(raw_codon),
+                wt_codon=cells[positions["wt_codon"]].strip().upper(),
+                mut_codon=cells[positions["mut_codon"]].strip().upper(),
+                wt_aa=cells[positions["wt_aa"]].strip().upper(),
+                mut_aa=cells[positions["mut_aa"]].strip().upper(),
+                mutation_event=(
+                    cells[positions["mutation_event"]].strip()
+                    if "mutation_event" in positions
+                    else ""
+                ),
+                tumor_type=cells[positions["tumor_type"]].strip(),
+                extra={name: cells[positions[name]].strip() for name in extra_columns},
+            )
+        except ValueError as exc:
+            raise BadRowError(line_no, str(exc)) from None
+        records.append(record)
+    if not records:
+        raise EmptyDatabaseError(f"{path}: no data rows")
+    return tuple(records), extra_columns
+
+
+def scan_query_oracle(
+    records: Iterable[MutationRecord], clauses: list[tuple[str, object]]
+) -> list[str]:
     """Record ids matching all clauses, file order, by naive full scan."""
 
     def norm(text: str) -> str:
@@ -349,7 +423,7 @@ def scan_query_oracle(db: Database, clauses: list[tuple[str, object]]) -> list[s
         return rec.extra[field]
 
     kept = []
-    for rec in db.records:
+    for rec in records:
         ok = True
         for field, value in clauses:
             if field == "codon":

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from tp53scan.errors import (
 )
 from tp53scan.mutcall import CodonMutation, MutationCallSet
 from tp53scan.mutdb import (
+    COLUMNS,
+    REQUIRED_COLUMNS,
     AnnotationResult,
     Database,
     FilterQuery,
@@ -27,9 +31,11 @@ from tp53scan.mutdb import (
     load_db,
     query,
 )
-from tp53scan.translation import STANDARD_TABLE, aa_for
+from tp53scan.translation import aa_for
 
-from support import scan_query_oracle
+from support import oracle_load_db, scan_query_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 HEADER = "record_id\tcodon\twt_codon\tmut_codon\twt_aa\tmut_aa\ttumor_type"
 
@@ -82,9 +88,12 @@ def test_bad_row_codon_zero(tmp_path):
 
 
 def test_bad_row_non_integer_codon(tmp_path):
-    path = write_tsv(tmp_path / "db.tsv", "a\tx\tCGG\tTGG\tR\tW\tBreast carcinoma")
-    with pytest.raises(BadRowError):
-        load_db(path)
+    # int() alone reads the last four as 248, 175, 273 and -3
+    for codon in ("x", "", "2_48", "+175", "\u0662\u0667\u0663", "-3"):
+        path = write_tsv(tmp_path / "db.tsv", f"a\t{codon}\tCGG\tTGG\tR\tW\tBreast carcinoma")
+        with pytest.raises(BadRowError) as exc:
+            load_db(path)
+        assert str(exc.value) == f"line 2: codon {codon!r} is not an integer"
 
 
 def test_bad_row_field_count(tmp_path):
@@ -208,7 +217,7 @@ def test_match_all_query(db):
 def test_codon_query_matches_linear_oracle(db):
     result = query(db, FilterQuery(clauses=(("codon", 248),)))
     assert [r.record_id for r in result.matches] == scan_query_oracle(
-        db, [("codon", 248)]
+        db.records, [("codon", 248)]
     )
     assert len({r.tumor_type for r in result.matches}) >= 3
 
@@ -263,8 +272,10 @@ def test_filter_query_validation():
 def test_from_strings_parses_clauses():
     q = FilterQuery.from_strings(["codon=248", "tumor_type=Breast carcinoma"])
     assert q.clauses == (("codon", 248), ("tumor_type", "Breast carcinoma"))
-    with pytest.raises(ValueError):
-        FilterQuery.from_strings(["codon=abc"])
+    assert FilterQuery.from_strings(["codon= 0248 "]).clauses == (("codon", 248),)
+    for codon in ("abc", "2_48", "+175", "\u0662\u0667\u0663"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            FilterQuery.from_strings([f"codon={codon}"])
     with pytest.raises(ValueError):
         FilterQuery.from_strings(["no-equals-here"])
 
@@ -300,7 +311,7 @@ def test_classify_never_looks_up_a_silent_call(tmp_path):
 
 
 def test_classify_on_empty_schema_db():
-    empty = Database(records=(), extra_columns=())
+    empty = Database(columns=dict.fromkeys(COLUMNS, ()))
     assert classify(empty, calls_of(r248w())) is None
 
 
@@ -312,77 +323,194 @@ def test_classify_warns_on_wt_codon_disagreement(tmp_path):
     assert result is not None and len(result.matches) == 1
 
 
-# Rows for the differential test: hits are called at codons 1-4,
-# wt-codon mismatches at 5-8, misses at 9-12 (no row lists them), and
-# codon 20 lists the change the one silent call makes.
-SILENT_ROW = (20, "CGG", "CGA")
-CODONS = st.sampled_from(sorted(STANDARD_TABLE))
+# Small random databases for the loader, query and classify properties.
+# Values come from small pools, so keys, cell texts and tumor types
+# repeat; CGG, CGA and AGG all code R, so a listed change can be silent.
+RANDOM_CODONS = ("CGG", "CGA", "AGG", "TGG", "CAG", "CAT", "TAG")
+CHANGES = (("CGG", "TGG"), ("CGG", "CGA"), ("CAT", "CGT"), ("AGG", "TAG"))
+CODON_CELLS = ("1", "2", "248", "0248")
+EXTRA_POOLS = {"origin": ("somatic", "germline"), "cell_line": ("CL-1", "CL-2", "")}
+ROW_POOLS = {
+    "mutation_event": ("missense", "nonsense", ""),
+    "tumor_type": ("Sarcoma", "Breast carcinoma", "Lung CARCINOMA"),
+    **EXTRA_POOLS,
+}
+BAD_CELLS = {
+    "codon": ("x", "", "0", "00", "2_48", "+17", "\u0662\u0667", "1.0", "-3"),
+    "wt_codon": ("CGX", "TG", "ACGT"),
+    "mut_codon": ("N", "cg g"),
+    "wt_aa": ("Arg", "1", ""),
+    "mut_aa": ("B", "RW"),
+}
+# "fields" comes last: it changes the row's length
+FAULTS = ("bad_cell", "equal", "empty_id", "duplicate_id", "fields")
+BLANK_LINES = ("", " ", "\t", " \t ")
 
 
-def changed_rows(low: int, high: int):
-    return st.lists(
-        st.tuples(st.integers(low, high), CODONS, CODONS).filter(
-            lambda row: aa_for(row[1]) != aa_for(row[2])
-        ),
-        min_size=1,
-        max_size=8,
-    )
+def noisy(draw, text: str) -> str:
+    """``text`` in a random case with random padding."""
+    styled = draw(st.sampled_from([text, text.upper(), text.lower()]))
+    return draw(st.sampled_from(["", " "])) + styled + draw(st.sampled_from(["", "  "]))
 
 
 @st.composite
-def lookups(draw):
-    """(TSV rows in file order, a call set against them)."""
-    hit_rows, mismatch_rows = draw(changed_rows(1, 4)), draw(changed_rows(5, 8))
-    rows = draw(st.permutations([*hit_rows, *mismatch_rows, SILENT_ROW]))
-    calls = {SILENT_ROW[0]: SILENT_ROW[1:]}
-    calls[draw(st.integers(9, 12))] = draw(
-        st.tuples(CODONS, CODONS).filter(lambda pair: pair[0] != pair[1])
-    )
-    if draw(st.booleans()):
-        codon, wt, mut = draw(st.sampled_from(hit_rows))
-        calls[codon] = (wt, mut)
-    if draw(st.booleans()):
-        codon, wt, mut = draw(st.sampled_from(mismatch_rows))
-        calls[codon] = (
-            draw(CODONS.filter(lambda c: c != wt and aa_for(c) != aa_for(mut))),
-            mut,
-        )
-    return rows, calls_of(
-        *(CodonMutation(no, ref, alt) for no, (ref, alt) in sorted(calls.items()))
-    )
+def mutation_tsvs(draw, max_faults: int):
+    """TSV text: a random header (optional columns absent or present,
+    extra columns, any order), 1-8 rows with case and whitespace noise,
+    blank lines, and up to ``max_faults`` faults of different kinds."""
+    optional = [n for n in ("record_id", "mutation_event", *EXTRA_POOLS) if draw(st.booleans())]
+    header = draw(st.permutations([*REQUIRED_COLUMNS, *optional]))
+    rows, keys = [], []
+    for k in range(draw(st.integers(1, 8))):
+        # half the rows repeat an earlier row's key, so they share its checks
+        if keys and draw(st.booleans()):
+            codon, wt, mut = draw(st.sampled_from(keys))
+        else:
+            codon, (wt, mut) = draw(st.sampled_from(CODON_CELLS)), draw(st.sampled_from(CHANGES))
+        keys.append((codon, wt, mut))
+        clean = {"record_id": f"r{k}", "codon": codon, "wt_codon": wt, "mut_codon": mut,
+                 "wt_aa": aa_for(wt), "mut_aa": aa_for(mut)}
+        rows.append([
+            noisy(draw, clean[name] if name in clean else draw(st.sampled_from(ROW_POOLS[name])))
+            for name in header
+        ])
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=max_faults, unique=True))
+    for fault in sorted(faults, key=FAULTS.index):
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if fault == "bad_cell":
+            name = draw(st.sampled_from(sorted(BAD_CELLS)))
+            row[header.index(name)] = draw(st.sampled_from(BAD_CELLS[name]))
+        elif fault == "equal":
+            row[header.index("mut_codon")] = noisy(draw, row[header.index("wt_codon")].strip())
+        elif fault == "fields":
+            if draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("x")
+        elif "record_id" in header:
+            id_at = header.index("record_id")
+            if fault == "empty_id":
+                row[id_at] = draw(st.sampled_from(["", " "]))
+            elif len(rows) > 1:
+                other = draw(st.integers(0, len(rows) - 1).filter(lambda k: k != at))
+                row[id_at] = rows[other][id_at]
+    lines = ["\t".join(f" {name} " for name in header)]
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(BLANK_LINES), max_size=1))
+        lines.append("\t".join(row))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
-@settings(max_examples=60, deadline=None)
-@given(lookups())
-def test_classify_matches_a_naive_scan(case):
-    rows, calls = case
+def load_both(text: str):
+    """(load_db's result or error, oracle_load_db's result or error)."""
+    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
-        db = load_db(write_tsv(
-            Path(tmp) / "db.tsv",
-            *(f"r{k}\t{no}\t{wt}\t{mut}\t{aa_for(wt)}\t{aa_for(mut)}\tSarcoma"
-              for k, (no, wt, mut) in enumerate(rows)),
+        path = Path(tmp) / "db.tsv"
+        path.write_text(text, encoding="utf-8")
+        for loader in (load_db, oracle_load_db):
+            try:
+                outcomes.append(loader(path))
+            except BadRowError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation_tsvs(max_faults=2))
+def test_load_db_matches_the_row_by_row_oracle(text):
+    got, want = load_both(text)
+    if isinstance(want, BadRowError):
+        assert isinstance(got, BadRowError), f"loaded, oracle refused: {want}"
+        assert (got.line, str(got)) == (want.line, str(want))
+    else:
+        assert not isinstance(got, BadRowError), f"refused, oracle loaded: {got}"
+        assert (tuple(got.records), got.extra_columns) == want
+
+
+def random_db(text: str):
+    """A fault-free random database and the oracle's records for it."""
+    db, (records, _) = load_both(text)
+    return db, records
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutation_tsvs(max_faults=0), st.data())
+def test_query_matches_a_naive_scan_on_random_dbs(text, data):
+    db, records = random_db(text)
+    clauses: list[tuple[str, object]] = []
+    if data.draw(st.booleans()):
+        listed = [r.codon_number for r in records]
+        clauses.append(("codon", data.draw(st.sampled_from([*listed, 999]))))
+    text_fields = sorted(db.queryable_fields - {"codon"})
+    for name in data.draw(st.lists(st.sampled_from(text_fields), max_size=2, unique=True)):
+        values = {getattr(r, name) if name in COLUMNS else r.extra[name] for r in records}
+        value = data.draw(st.sampled_from(sorted(values | {"zzz"})))
+        clauses.append((name, noisy(data.draw, value)))
+    result = query(db, FilterQuery(tuple(data.draw(st.permutations(clauses)))))
+    assert [r.record_id for r in result.matches] == scan_query_oracle(records, clauses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutation_tsvs(max_faults=0), st.data())
+def test_classify_matches_a_naive_scan(text, data):
+    """Calls at up to three listed codons, each making a listed change
+    from the listed wt codon or another one (silent or not), plus a miss
+    at an unlisted codon."""
+    db, records = random_db(text)
+    changes = {999: ("CGG", "TGG")}
+    for rec in data.draw(st.lists(st.sampled_from(records), max_size=3)):
+        ref = data.draw(st.sampled_from([rec.wt_codon, *RANDOM_CODONS]).filter(
+            lambda codon: codon != rec.mut_codon
         ))
+        changes[rec.codon_number] = (ref, rec.mut_codon)
+    calls = calls_of(*(CodonMutation(no, ref, alt) for no, (ref, alt) in sorted(changes.items())))
+
+    by_id = {rec.record_id: rec for rec in records}
     want: set[str] = set()
     warned: list[str] = []  # one text per mismatching row: calls in order, rows in file order
-    for m in calls.mutations:
-        if aa_for(m.ref_codon) == aa_for(m.alt_codon):
+    for no, (ref, alt) in sorted(changes.items()):
+        if aa_for(ref) == aa_for(alt):
             continue
-        for record_id in scan_query_oracle(
-            db, [("codon", m.codon_number), ("mut_codon", m.alt_codon)]
-        ):
+        for record_id in scan_query_oracle(records, [("codon", no), ("mut_codon", alt)]):
             want.add(record_id)
-            wt = rows[int(record_id[1:])][1]
-            if wt != m.ref_codon:
+            if by_id[record_id].wt_codon != ref:
                 warned.append(
-                    f"record {record_id!r} lists wt codon {wt} at codon "
-                    f"{m.codon_number}, caller saw {m.ref_codon}"
+                    f"record {record_id!r} lists wt codon {by_id[record_id].wt_codon} "
+                    f"at codon {no}, caller saw {ref}"
                 )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = classify(db, calls)
     assert (result is None) == (not want)
     if result is not None:
-        in_file_order = [f"r{k}" for k in range(len(rows)) if f"r{k}" in want]
+        in_file_order = [rec.record_id for rec in records if rec.record_id in want]
         assert [r.record_id for r in result.matches] == in_file_order
     assert all(w.category is WtCodonMismatchWarning for w in caught)
     assert [str(w.message) for w in caught] == warned
+
+
+def test_loading_the_29k_row_benchmark_db_stays_small(tmp_path, monkeypatch):
+    """The 29k-row database of the benchmark's divergent_indel workload
+    (seed 1) loads under 16 MB at peak, keeps under 8 MB and leaves
+    fewer than 1,000 objects for the garbage collector to track."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    path = tmp_path / "mutations.tsv"
+    reference = workloads.bundled_reference(ROOT / "src" / "tp53scan" / "data")
+    workloads.write_mutation_db(1, reference, path)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        db = load_db(path)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    new_tracked = len(gc.get_objects()) - tracked
+    assert len(db) == workloads.DB_ROWS
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert retained < 8 * 2**20, f"retained {retained / 2**20:.2f} MB"
+    assert new_tracked < 1_000, f"{new_tracked} new GC-tracked objects"
