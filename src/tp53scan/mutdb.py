@@ -109,10 +109,10 @@ class Database:
         return frozenset(self.columns)
 
     @property
-    def records(self) -> Sequence[MutationRecord]:
-        """Every row as a record, in file order: a read-only view that
-        builds each record on first access and keeps it."""
-        return _Records(self)
+    def records(self) -> tuple[MutationRecord, ...]:
+        """Every row as a record, in file order. For tests and oracles:
+        it builds and keeps a record for every row."""
+        return tuple(map(self._record, range(len(self))))
 
     def rows_at(self, codon: int, mut_codon: str | None = None) -> Sequence[int]:
         """Positions of the rows at a codon, in file order; given a
@@ -133,31 +133,15 @@ class Database:
         return record
 
 
-class _Records(Sequence):
-    """Read-only view of a database's rows as records."""
-
-    __slots__ = ("_db",)
-
-    def __init__(self, db: Database) -> None:
-        self._db = db
-
-    def __len__(self) -> int:
-        return len(self._db)
-
-    def __getitem__(self, index):
-        positions = range(len(self._db))
-        if isinstance(index, slice):
-            return tuple(map(self._db._record, positions[index]))
-        return self._db._record(positions[index])
-
-
 def parse_codon_number(text: str) -> int:
-    """The codon-number rule: one or more ASCII decimal digits.
+    """The codon-number spelling: ASCII decimal digits, after an optional
+    ``-`` (a record refuses a number below one).
 
     ``int`` alone would also read ``2_48``, ``+175`` and non-ASCII digits.
     """
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"codon {text!r} is not an integer")
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"codon {text!r} is not an integer in ASCII digits")
     return int(text)
 
 

@@ -363,8 +363,10 @@ def oracle_load_db(path: str | Path) -> tuple[tuple[MutationRecord, ...], tuple[
                 line_no, f"expected {len(header)} fields, got {len(cells)}"
             )
         raw_codon = cells[positions["codon"]].strip()
-        if not re.fullmatch("[0-9]+", raw_codon, flags=re.ASCII):
-            raise BadRowError(line_no, f"codon {raw_codon!r} is not an integer")
+        if not re.fullmatch("-?[0-9]+", raw_codon, flags=re.ASCII):
+            raise BadRowError(
+                line_no, f"codon {raw_codon!r} is not an integer in ASCII digits"
+            )
 
         record_id = (
             cells[positions["record_id"]].strip()

@@ -31,7 +31,7 @@ from tp53scan.mutdb import (
     load_db,
     query,
 )
-from tp53scan.translation import aa_for
+from tp53scan.translation import STANDARD_TABLE, aa_for
 
 from support import oracle_load_db, scan_query_oracle
 
@@ -80,20 +80,20 @@ def test_missing_required_column(tmp_path):
 
 
 def test_bad_row_codon_zero(tmp_path):
-    path = write_tsv(tmp_path / "db.tsv", "a\t0\tCGG\tTGG\tR\tW\tBreast carcinoma")
-    with pytest.raises(BadRowError) as exc:
-        load_db(path)
-    assert exc.value.line == 2
-    assert "codon_number >= 1" in str(exc.value)
-
-
-def test_bad_row_non_integer_codon(tmp_path):
-    # int() alone reads the last four as 248, 175, 273 and -3
-    for codon in ("x", "", "2_48", "+175", "\u0662\u0667\u0663", "-3"):
+    for codon in ("0", "-3"):
         path = write_tsv(tmp_path / "db.tsv", f"a\t{codon}\tCGG\tTGG\tR\tW\tBreast carcinoma")
         with pytest.raises(BadRowError) as exc:
             load_db(path)
-        assert str(exc.value) == f"line 2: codon {codon!r} is not an integer"
+        assert str(exc.value) == f"line 2: codon_number >= 1 violated: {int(codon)}"
+
+
+def test_bad_row_non_integer_codon(tmp_path):
+    # int() alone reads the last three as 248, 175 and 273
+    for codon in ("x", "", "2_48", "+175", "\u0662\u0667\u0663"):
+        path = write_tsv(tmp_path / "db.tsv", f"a\t{codon}\tCGG\tTGG\tR\tW\tBreast carcinoma")
+        with pytest.raises(BadRowError) as exc:
+            load_db(path)
+        assert str(exc.value) == f"line 2: codon {codon!r} is not an integer in ASCII digits"
 
 
 def test_bad_row_field_count(tmp_path):
@@ -274,8 +274,10 @@ def test_from_strings_parses_clauses():
     assert q.clauses == (("codon", 248), ("tumor_type", "Breast carcinoma"))
     assert FilterQuery.from_strings(["codon= 0248 "]).clauses == (("codon", 248),)
     for codon in ("abc", "2_48", "+175", "\u0662\u0667\u0663"):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="is not an integer in ASCII digits"):
             FilterQuery.from_strings([f"codon={codon}"])
+    # a negative codon is a well-formed clause that matches nothing
+    assert FilterQuery.from_strings(["codon=-3"]).clauses == (("codon", -3),)
     with pytest.raises(ValueError):
         FilterQuery.from_strings(["no-equals-here"])
 
@@ -321,6 +323,88 @@ def test_classify_warns_on_wt_codon_disagreement(tmp_path):
     with pytest.warns(WtCodonMismatchWarning):
         result = classify(db, calls_of(r248w()))
     assert result is not None and len(result.matches) == 1
+
+
+# Rows for the differential test: hits are called at codons 1-4,
+# wt-codon mismatches at 5-8, misses at 9-12 (no row lists them), and
+# codon 20 lists the change the one silent call makes.
+SILENT_ROW = (20, "CGG", "CGA")
+CODONS = st.sampled_from(sorted(STANDARD_TABLE))
+
+
+def changed_rows(low: int, high: int):
+    return st.lists(
+        st.tuples(st.integers(low, high), CODONS, CODONS).filter(
+            lambda row: aa_for(row[1]) != aa_for(row[2])
+        ),
+        min_size=1,
+        max_size=8,
+    )
+
+
+@st.composite
+def lookups(draw):
+    """(TSV rows in file order, a call set against them)."""
+    hit_rows, mismatch_rows = draw(changed_rows(1, 4)), draw(changed_rows(5, 8))
+    rows = draw(st.permutations([*hit_rows, *mismatch_rows, SILENT_ROW]))
+    calls = {SILENT_ROW[0]: SILENT_ROW[1:]}
+    calls[draw(st.integers(9, 12))] = draw(
+        st.tuples(CODONS, CODONS).filter(lambda pair: pair[0] != pair[1])
+    )
+    if draw(st.booleans()):
+        codon, wt, mut = draw(st.sampled_from(hit_rows))
+        calls[codon] = (wt, mut)
+    if draw(st.booleans()):
+        codon, wt, mut = draw(st.sampled_from(mismatch_rows))
+        calls[codon] = (
+            draw(CODONS.filter(lambda c: c != wt and aa_for(c) != aa_for(mut))),
+            mut,
+        )
+    return rows, calls_of(
+        *(CodonMutation(no, ref, alt) for no, (ref, alt) in sorted(calls.items()))
+    )
+
+
+def check_classify(db, records, calls) -> None:
+    """``classify`` gives the naive scan's hits in file order, and one
+    warning per hit whose wt codon is not the call's reference codon."""
+    by_id = {rec.record_id: rec for rec in records}
+    want: set[str] = set()
+    warned: list[str] = []  # one text per mismatching row: calls in order, rows in file order
+    for m in calls.mutations:
+        if aa_for(m.ref_codon) == aa_for(m.alt_codon):
+            continue
+        for record_id in scan_query_oracle(
+            records, [("codon", m.codon_number), ("mut_codon", m.alt_codon)]
+        ):
+            want.add(record_id)
+            if by_id[record_id].wt_codon != m.ref_codon:
+                warned.append(
+                    f"record {record_id!r} lists wt codon {by_id[record_id].wt_codon} "
+                    f"at codon {m.codon_number}, caller saw {m.ref_codon}"
+                )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = classify(db, calls)
+    assert (result is None) == (not want)
+    if result is not None:
+        in_file_order = [rec.record_id for rec in records if rec.record_id in want]
+        assert [r.record_id for r in result.matches] == in_file_order
+    assert all(w.category is WtCodonMismatchWarning for w in caught)
+    assert [str(w.message) for w in caught] == warned
+
+
+@settings(max_examples=60, deadline=None)
+@given(lookups())
+def test_classify_matches_a_naive_scan(case):
+    rows, calls = case
+    with tempfile.TemporaryDirectory() as tmp:
+        db = load_db(write_tsv(
+            Path(tmp) / "db.tsv",
+            *(f"r{k}\t{no}\t{wt}\t{mut}\t{aa_for(wt)}\t{aa_for(mut)}\tSarcoma"
+              for k, (no, wt, mut) in enumerate(rows)),
+        ))
+    check_classify(db, db.records, calls)
 
 
 # Small random databases for the loader, query and classify properties.
@@ -453,7 +537,7 @@ def test_query_matches_a_naive_scan_on_random_dbs(text, data):
 
 @settings(max_examples=150, deadline=None)
 @given(mutation_tsvs(max_faults=0), st.data())
-def test_classify_matches_a_naive_scan(text, data):
+def test_classify_matches_a_naive_scan_on_random_dbs(text, data):
     """Calls at up to three listed codons, each making a listed change
     from the listed wt codon or another one (silent or not), plus a miss
     at an unlisted codon."""
@@ -465,29 +549,7 @@ def test_classify_matches_a_naive_scan(text, data):
         ))
         changes[rec.codon_number] = (ref, rec.mut_codon)
     calls = calls_of(*(CodonMutation(no, ref, alt) for no, (ref, alt) in sorted(changes.items())))
-
-    by_id = {rec.record_id: rec for rec in records}
-    want: set[str] = set()
-    warned: list[str] = []  # one text per mismatching row: calls in order, rows in file order
-    for no, (ref, alt) in sorted(changes.items()):
-        if aa_for(ref) == aa_for(alt):
-            continue
-        for record_id in scan_query_oracle(records, [("codon", no), ("mut_codon", alt)]):
-            want.add(record_id)
-            if by_id[record_id].wt_codon != ref:
-                warned.append(
-                    f"record {record_id!r} lists wt codon {by_id[record_id].wt_codon} "
-                    f"at codon {no}, caller saw {ref}"
-                )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = classify(db, calls)
-    assert (result is None) == (not want)
-    if result is not None:
-        in_file_order = [rec.record_id for rec in records if rec.record_id in want]
-        assert [r.record_id for r in result.matches] == in_file_order
-    assert all(w.category is WtCodonMismatchWarning for w in caught)
-    assert [str(w.message) for w in caught] == warned
+    check_classify(db, records, calls)
 
 
 def test_loading_the_29k_row_benchmark_db_stays_small(tmp_path, monkeypatch):
