@@ -5,16 +5,19 @@ Exact three-state dynamic program (Gotoh). A gap run of length L costs
 shared by the two sequences (BLAST-style seeds) are chained into a real
 global path; its score is a lower bound on the optimum. That bound fixes
 a band of diagonals that provably holds every optimal path (Fickett
-1984; Ukkonen 1985), so the DP is filled once, row by row, on that band
-only: memory is O((n + m) * band width), 8 bytes per cell. A band of
-one diagonal needs no DP at all. A caller that only wants alignments
-scoring at least some floor (a ranking leader's score) passes it: the
-band then only has to hold paths that reach the target, the larger of
-the seed's score and the floor, and an alignment below the floor is
-refused before any traceback. The traceback reads the cells as the
-fill stored them, checks diagonal runs a chunk at a time and steps
-through gap runs cell by cell. It is deterministic: at every choice
-point Match/Mismatch is preferred over Delete, and Delete over Insert.
+1984; Ukkonen 1985), so the DP is filled once, on that band only:
+memory is O((n + m) * band width), 8 bytes per cell. A band many times
+longer than it is wide is filled one diagonal at a time, in a few
+alternating sweeps of whole-diagonal numpy calls (after Farrar's
+striped fill, 2007); any other band row by row. A band of one diagonal
+needs no DP at all. A caller that only wants alignments scoring at
+least some floor (a ranking leader's score) passes it: the band then
+only has to hold paths that reach the target, the larger of the seed's
+score and the floor, and an alignment below the floor is refused
+before any traceback. The traceback reads the cells as the fill stored
+them, checks diagonal runs a chunk at a time and steps through gap runs
+cell by cell. It is deterministic: at every choice point Match/Mismatch
+is preferred over Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -50,8 +53,15 @@ _CHAIN_REACH = 64
 # Cells the traceback checks per numpy pass along a diagonal run.
 _RUN_CHUNK = 64
 
-# Rows a fill with a floor runs between two checks of its row bound.
+# Rows a row fill with a floor runs between two checks of its row bound.
 _FLOOR_CHECK_ROWS = 32
+
+# A band of width w narrower than the matrix is filled by diagonals
+# when w * this <= n. At n = 1179 on a 2-core Xeon VM a column solve took
+# 28 us and a row of the row fill 3.0 us, so a column costs about 9 rows;
+# near-identical pairs stop after 3 sweeps, about 28 rows per diagonal,
+# and 64 leaves room for bands that need twice the sweeps.
+_ROWS_PER_DIAGONAL = 64
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,173 @@ def _windows(
     return windows
 
 
+def _sweep_cap(n: int, m: int, slack: int, floor: int | None, scheme: ScoringScheme) -> int:
+    """Sweeps of _fill_diagonals that capture every path reaching the
+    target, for a band narrower than the matrix.
+
+    The band's slack puts its exit bound below the target T, so T is at
+    least that bound plus one, and at least the ``floor``. A path with r
+    gap runs and G gap columns has (n + m - G) / 2 diagonal columns,
+    each scoring at most ``match``, and its runs cost r * (gap_open -
+    gap_extend) + G * gap_extend. So twice its score is at most
+
+        2 * r * (gap_open - gap_extend) + (n + m - G) * match + 2 * G * gap_extend,
+
+    linear in G over max(r, |n - m|) <= G <= n + m, so largest at an
+    end; the bound never rises with r. A path reaching T has at most R
+    runs, the largest r whose bound is at least 2 * T.
+
+    A sweep takes in whole Delete runs (right to left, the odd sweeps)
+    or whole Insert runs (left to right), any number of them between
+    diagonal stretches. So a path whose runs fall into g groups of one
+    direction each is in the values after g sweeps, or g + 1 when its
+    first group is Insert runs that do not start at (0, 0), and
+    g + 1 <= R + 1. Returns R + 1, at least 1: one sweep already
+    reaches the end cell, by a row-0 Insert run or a final Delete run.
+    """
+    target = _exit_bound(n, m, slack, scheme) + 1
+    if floor is not None:
+        target = max(target, floor)
+
+    def doubled_bound(runs: int) -> int:
+        fewest = max(runs, abs(n - m))
+        return 2 * runs * (scheme.gap_open - scheme.gap_extend) + max(
+            (n + m - gaps) * scheme.match + 2 * gaps * scheme.gap_extend
+            for gaps in (fewest, n + m)
+        )
+
+    lo, hi = 0, n + m  # the largest runs in lo..hi whose bound reaches T
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if doubled_bound(mid) >= 2 * target:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo + 1
+
+
+def _fill_diagonals(
+    a: str,
+    b: str,
+    scheme: ScoringScheme,
+    first: int,
+    sweeps: int,
+    mat_m: np.ndarray,
+    mat_x: np.ndarray,
+    y_row: np.ndarray,
+) -> int:
+    """Fill a band stored by diagonal (step 1) one storage column at a
+    time; writes M, X and the last Y row in place, as _fill_band stores
+    them, and returns the sweeps it ran.
+
+    Storage column c is diagonal d = first + c - 1, held as a vector
+    over the rows i = 0..n, cell (i, i + d) at row i. With the shifted
+    cells of _fill_band:
+
+        X_c(i) = max(X_{c+1}(i-1), top_{c+1}(i-1) + o)
+        Y_c(i) = max(Y_{c-1}(i), top_{c-1}(i) + o)
+        top_c(i) = max(top_c(i-1) + W_c(i), other_c(i)),  other = max(X, Y)
+
+    where W_c(i) is the window score of a[i-1] against b[i+d-1]. (Y may
+    read top for max(M, X): Y_{c-1} + o never beats Y_{c-1}.) With C
+    the running sum of W (C(0) = 0), the chain solves to top = C + A
+    and M(i) = C(i) + A(i-1), where A is the running maximum of
+    other - C: one cumsum and one maximum.accumulate per column, with
+    other(0) = top(0), the row-0 value _fill_band sets.
+
+    X flows right to left and Y left to right, so sweeps alternate:
+    right to left, X_c from column c+1 as just solved and Y_c from the
+    last sweep, held in A as M(i+1) - C(i+1); then left to right, X_c as
+    stored and Y_c from column c-1 as just solved. Every value is the
+    score of a real in-band path and none falls. A right-to-left sweep
+    moves no top value when X - C nowhere exceeds A as it stood: then X
+    holds, and Y held after the sweep before, whose tops stand, so the
+    recurrences all hold and the fill stops. It stops after ``sweeps``
+    at the latest (_sweep_cap), when every path reaching the target is
+    in: a cell on no such path may still hold less than its optimum,
+    which the traceback never tells apart.
+
+    Scratch is three float32 vectors of n + 1 and the residue codes. The
+    running maximum's inputs other - C are exact in float32: see
+    _check_exact.
+    """
+    n, width = len(a), mat_m.shape[1] - 2
+    f32 = np.float32
+    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=f32)
+    # W is miss, plus lift where the residues match
+    lift = np.array(scheme.match - scheme.mismatch, dtype=f32)
+    miss = np.array(scheme.mismatch - 2 * scheme.gap_extend, dtype=f32)
+    codes_a = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    # b_cols[c-1][i-1] is b[i+d-1]; where that index leaves b an end
+    # residue stands in: no cell of the matrix reads those cells, and C
+    # is only ever differenced over rows past them
+    end = first + n + width - 1
+    padded = b[0] * max(0, -first) + b[max(0, first) : end] + b[-1] * max(0, end - len(b))
+    b_cols = np.ndarray((width, n), np.uint8, padded.encode("ascii"), strides=(1, 1))
+    del padded  # the codes are all the fill reads
+    # run is C; gain is W, then A; edge is the top (right to left) or
+    # the Y (left to right) the next column reads
+    run, gain, edge = (np.empty(n + 1, dtype=f32) for _ in range(3))
+    run[0] = 0
+
+    # row 0: M(0, 0) at column ``origin``, then an Insert run
+    origin = 1 - first
+    top0 = [_NEG_INF] * origin + [mat_m.item(0, origin)]
+    top0 += [top0[-1] + float(reopen)] * (width - origin)
+    add, subtract, maximum, running_max = np.add, np.subtract, np.maximum, np.maximum.accumulate
+
+    def running_sum(b_col: np.ndarray) -> None:
+        w = gain[1:]
+        np.equal(codes_a, b_col, out=w)
+        np.multiply(w, lift, out=w)
+        add(w, miss, out=w)
+        np.cumsum(w, out=run[1:])
+
+    for sweep in range(1, sweeps + 1):
+        edge.fill(_NEG_INF)
+        if sweep % 2 == 0:  # left to right
+            for c, m_col, x_col, b_col in zip(
+                range(1, width + 1), mat_m.T[1:-1], mat_x.T[1:-1], b_cols
+            ):
+                running_sum(b_col)
+                y_row[c - 1] = edge[-1]
+                maximum(x_col[1:], edge[1:], out=gain[1:])
+                gain[0] = top0[c]
+                subtract(gain, run, out=gain)
+                running_max(gain, out=gain)
+                add(run[1:], gain[:-1], out=m_col[1:])
+                add(gain, run, out=gain)
+                add(gain, reopen, out=gain)
+                maximum(edge, gain, out=edge)
+            continue
+        # right to left; the first sweep moves every reachable cell off
+        # -inf, and the last needs no check
+        moved = sweep in (1, sweeps)
+        for c, m_col, x_col, x_right, b_col in zip(
+            range(width, 0, -1),
+            mat_m.T[width:0:-1],
+            mat_x.T[width:0:-1],
+            mat_x[:-1].T[width + 1 : 1 : -1],
+            b_cols[::-1],
+        ):
+            running_sum(b_col)
+            # A as it stands: top(0), M(i+1) - C(i+1), and top(n) - C(n)
+            gain[0] = top0[c]
+            subtract(m_col[2:], run[2:], out=gain[1:-1])
+            gain[-1] = max(m_col.item(-1), x_col.item(-1), y_row.item(c - 1)) - run.item(-1)
+            add(edge[:-1], reopen, out=x_col[1:])
+            maximum(x_col[1:], x_right, out=x_col[1:])
+            subtract(x_col[1:], run[1:], out=edge[1:])
+            moved = moved or (edge[1:] > gain[1:]).any()
+            maximum(gain[1:], edge[1:], out=gain[1:])
+            running_max(gain, out=gain)
+            add(run[1:], gain[:-1], out=m_col[1:])
+            add(run[:-1], gain[:-1], out=edge[:-1])
+        if not moved:
+            break
+    return sweep
+
+
 def _fill_band(
     a: str, b: str, scheme: ScoringScheme, slack: int, floor: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int] | None:
@@ -197,11 +374,17 @@ def _fill_band(
         Y = o + running maximum of max(M, X) over the row, left of j
 
     where top is max(M, X, Y). Opening from Delete costs no less than
-    extending it, so top can stand in for max(M, Y) in X. A row then
-    takes 7 numpy calls, none with a ramp, and the rows are walked with
-    zip over row views while two top buffers take turns.
+    extending it, so top can stand in for max(M, Y) in X.
 
-    With a ``floor``, every _FLOOR_CHECK_ROWS rows the fill bounds the
+    A band narrower than the matrix whose width times _ROWS_PER_DIAGONAL
+    is at most n is filled one diagonal at a time, in a few sweeps of
+    whole-diagonal numpy calls (_fill_diagonals, _sweep_cap). It runs no
+    floor check: it finishes, and align_global refuses a score below
+    the target. Every other band is filled row by row: a row takes 7
+    numpy calls, none with a ramp, and the rows are walked with zip over
+    row views while two top buffers take turns.
+
+    With a ``floor``, every _FLOOR_CHECK_ROWS rows the row fill bounds the
     best in-band path and returns None once that bound is below the
     floor (Ukkonen 1985). Every path crosses row i, at some cell (i, j)
     of the band; it scores at most top(i, j) plus the best a suffix from
@@ -227,23 +410,31 @@ def _fill_band(
             f"a {n} x {m} alignment needs {cells} cells, "
             f"more than the limit of {MAX_BAND_CELLS}"
         )
-    windows = _windows(a, b, scheme, step, first, width)
+    by_diagonal = not whole and width * _ROWS_PER_DIAGONAL <= n
+    if not by_diagonal:
+        windows = _windows(a, b, scheme, step, first, width)
     f32 = np.float32
-    # a 0-d array: ufuncs take it faster than a numpy scalar
-    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=f32)
-
     mat_m = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
     mat_x = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
     y_row = np.full(width, _NEG_INF, dtype=f32)
+    # M(0, 0) = 0, shifted, in storage column 1 - first
+    mat_m[0, 1 - first] = -(1 - first) * scheme.gap_extend
+    if by_diagonal:
+        sweeps = _sweep_cap(n, m, slack, floor, scheme)
+        _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row)
+        return mat_m, mat_x, y_row, step, first
+
+    # a 0-d array: ufuncs take it faster than a numpy scalar
+    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=f32)
     y_tail = y_row[1:]
     inner_m, inner_x = mat_m[:, 1:-1], mat_x[:, 1:-1]
     # x_above row i-1 is X at (i-1, j) for the cell (i, j) at each position
     x_above = mat_x[:-1, 1 + step : 1 + step + width]
 
-    # row 0: M(0, 0) = 0, then an Insert run; X is -inf throughout
+    # row 0: M(0, 0), then an Insert run; X is -inf throughout
     tops = [np.full(width + 2, _NEG_INF, dtype=f32) for _ in range(2)]
     start = -first
-    inner_m[0, start] = tops[0][1 + start] = -(1 - first) * scheme.gap_extend
+    tops[0][1 + start] = mat_m.item(0, 1 + start)
     tops[0][2 + start : -1] = tops[0][1 + start] + reopen
 
     # the two top buffers take turns as the row above, read at (i-1, j-1)
@@ -521,10 +712,10 @@ def _seed(a: Sequence, b: Sequence, scheme: ScoringScheme) -> _Seed:
 
 
 def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
-    """Raise unless float32 holds every value the fill forms exactly.
+    """Raise unless float32 holds every value either fill forms exactly.
 
     Each stored cell, each running-maximum input and each sum of the
-    fill is the score V of a path into some cell (i, j) of the matrix,
+    row fill is the score V of a path into some cell (i, j) of the matrix,
     minus that cell's shift (i + j + 1 - first) * gap_extend (see
     _fill_band). A path has at most n + m columns, so
     |V| <= (n + m) * largest, where largest is the scheme's largest
@@ -537,6 +728,18 @@ def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
 
     and float32 holds every integer below 2**24. Cells with j > m reach
     no cell of the matrix, so their values need not be exact.
+
+    The diagonal fill (_fill_diagonals) adds C, the running sum of the
+    window scores down a diagonal, and the running maximum's inputs V -
+    C. C(i) is the gapless score of the diagonal's first i rows less
+    2 * i * gap_extend, so |C| <= 3 * n * largest, within the bound
+    since a band narrower than the matrix has n < 2 * m. At a cell in
+    storage column c, V - C = S - D - c * gap_extend, where S is the
+    unshifted score of a path into the cell (at most n + m columns) and
+    D the gapless score above it on its diagonal (at most n columns):
+    within (2 * n + m) * largest + width * |gap_extend|, and such a band
+    has width <= m, so within the bound too. The rest are sums of C and
+    V - C that give stored cells, or top + o.
     """
     largest = max(
         abs(scheme.match), abs(scheme.mismatch), abs(scheme.gap_open), abs(scheme.gap_extend)
@@ -561,8 +764,10 @@ def align_global(
     max(L, ``floor``): every path that leaves the band scores below T.
     So a band scoring at least T holds every optimal path, and rows, ops
     and score are the ones the full matrix gives, with or without a
-    floor. A band scoring below T, or a fill refused part way
-    (_fill_band), holds no path that reaches T. When T is ``floor``,
+    floor. The diagonal fill holds exact values on every path reaching
+    T (_sweep_cap), and the score and traceback read no other cell. A
+    band scoring below T, or a row fill refused part way (_fill_band),
+    holds no path that reaches T. When T is ``floor``,
     neither does the matrix, and the result is None, found before any
     traceback. When T is L, the seed path lies inside the band, so a
     band below it means the seed is wrong, and AssertionError is raised.

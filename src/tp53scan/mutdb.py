@@ -237,7 +237,8 @@ class FilterQuery:
     """Conjunction of per-field equality clauses; no clauses matches all.
 
     The codon clause compares as an integer; every other clause compares
-    as trimmed, case-insensitive text.
+    as trimmed, case-insensitive text. A bool is no codon (True would
+    look up codon 1), and a text clause takes only a str.
     """
 
     clauses: tuple[tuple[str, int | str], ...] = ()
@@ -247,8 +248,11 @@ class FilterQuery:
         if len(fields) != len(set(fields)):
             raise ValueError("at most one clause per field")
         for name, value in self.clauses:
-            if name == "codon" and not isinstance(value, int):
-                raise ValueError(f"codon clause needs an integer, got {value!r}")
+            if name == "codon":
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"codon clause needs an integer, got {value!r}")
+            elif not isinstance(value, str):
+                raise ValueError(f"{name} clause needs text, got {value!r}")
 
     @classmethod
     def from_strings(cls, pairs: Iterable[str]) -> "FilterQuery":
@@ -293,7 +297,7 @@ def query(db: Database, q: FilterQuery) -> AnnotationResult:
     for name, value in q.clauses:
         if name == "codon":
             continue
-        column, want = db.columns[name], _norm(str(value))
+        column, want = db.columns[name], _norm(value)
         # each distinct value among the rows left is normalized once
         kept = {text for text in {column[pos] for pos in rows} if _norm(text) == want}
         rows = [pos for pos in rows if column[pos] in kept]

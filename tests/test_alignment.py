@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tp53scan import alignment
@@ -519,6 +521,179 @@ def test_one_diagonal_band_runs_no_fill(pair: tuple[str, str], offset: int | Non
         )
 
 
+# --- the fill by diagonals against the fill by rows
+
+
+def _by(kind: str):
+    """Send every band narrower than the matrix to one fill."""
+    return mock.patch.object(
+        alignment, "_ROWS_PER_DIAGONAL", 0 if kind == "diagonals" else math.inf
+    )
+
+
+def _assert_same_cells(a: str, b: str, rows: tuple, diagonals: tuple) -> None:
+    """Stored M and X agree at every cell with 0 <= j <= m (cells with
+    j > m are read by no cell of the matrix), and Y at the end cell."""
+    n, m = len(a), len(b)
+    mat_m, mat_x, y_last, step, first = rows
+    assert (step, first) == diagonals[3:] and step == 1
+    # row i, storage column c holds cell (i, i + first + c - 1)
+    j = np.arange(n + 1)[:, None] + first - 1 + np.arange(mat_m.shape[1])
+    inside = j <= m
+    assert np.array_equal(mat_m[inside], diagonals[0][inside])
+    assert np.array_equal(mat_x[inside], diagonals[1][inside])
+    end = m - n - first + 1
+    assert y_last[end - 1] == diagonals[2][end - 1]
+
+
+@st.composite
+def _band_cases(draw) -> tuple[str, str, int]:
+    """Two 5-200 residue sequences and a slack whose band is narrower
+    than the matrix. The residues are ACGT, AC or a homopolymer, which
+    give many equal-scoring paths; b is an edited copy of a (0-8
+    substitutions and +-1 indels) or drawn on its own, and in half the
+    cases trimmed or padded to n residues."""
+    unit = draw(st.sampled_from(["ACGT", "AC", "A"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(5, 200))
+    a = rng.choices(unit, k=n)
+    if draw(st.booleans()):
+        b = rng.choices(unit, k=draw(st.integers(1, 200)))
+    else:
+        b = list(a)
+        for _ in range(draw(st.integers(0, 8))):
+            pos, kind = rng.randrange(len(b)), rng.randrange(3)
+            if kind == 0:
+                b[pos] = rng.choice(unit)
+            elif kind == 1:
+                b.insert(pos, rng.choice(unit))
+            elif len(b) > 1:
+                del b[pos]
+    if draw(st.booleans()):
+        b = (b + rng.choices(unit, k=n))[:n]
+    slack = draw(st.integers(0, 8))
+    assume(not alignment._covers_matrix(n, len(b), slack))
+    return "".join(a), "".join(b), slack
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_band_cases(), scheme=_schemes())
+def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringScheme):
+    # with no cap the sweeps run until one moves nothing: every cell of
+    # the matrix then holds its in-band optimum, as the row fill's does.
+    # Slacks up to 8 are wider than these lengths ever send by diagonals.
+    a, b, slack = case
+    with _by("rows"):
+        rows = alignment._fill_band(a, b, scheme, slack)
+    uncapped = mock.patch.object(alignment, "_sweep_cap", return_value=len(a) + len(b) + 1)
+    with _by("diagonals"), uncapped:
+        diagonals = alignment._fill_band(a, b, scheme, slack)
+    _assert_same_cells(a, b, rows, diagonals)
+
+
+def _outcome(a: str, b: str, scheme: ScoringScheme, floor: int | None, kind: str):
+    with _by(kind):
+        got = align_global(dna(a, "a"), dna(b, "b"), scheme, floor=floor)
+    return None if got is None else (got.aligned_a, got.aligned_b, got.ops, got.score)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_band_cases(), scheme=_schemes(), offset=st.none() | st.integers(-8, 8))
+def test_align_global_is_the_same_by_diagonals_and_by_rows(
+    case, scheme: ScoringScheme, offset: int | None
+):
+    # at its sweep cap the fill may leave a cell that no path reaching
+    # the target crosses below its optimum; rows, ops, score and refusals
+    # must still be the row fill's, with or without a floor
+    a, b, _ = case
+    want = _outcome(a, b, scheme, None, "rows")
+    floor = None if offset is None else want[3] + offset
+    if floor is not None:
+        want = _outcome(a, b, scheme, floor, "rows")
+    assert _outcome(a, b, scheme, floor, "diagonals") == want
+
+
+def _alternating_indels(count: int) -> tuple[str, str]:
+    """A 400 nt sequence and a copy with ``count`` single-residue indels,
+    inserts and deletions in turn, at least 20 nt from either end."""
+    rng = random.Random(2)
+    a = rng.choices("ACGT", k=400)
+    b = list(a)
+    for k, pos in enumerate(sorted(rng.sample(range(20, 380), count), reverse=True)):
+        if k % 2:
+            del b[pos]
+        else:
+            b.insert(pos, rng.choice("ACGT"))
+    return "".join(a), "".join(b)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+def test_alternating_indels_take_every_sweep_the_cap_allows(count: int):
+    # each indel is a gap run turning the path's direction, so the
+    # optimal path needs all R + 1 sweeps the cap allows: the fill stops
+    # at the cap, not by finding nothing moved, and is still exact
+    a, b = _alternating_indels(count)
+    fill, sweeps = alignment._fill_diagonals, []
+
+    def recorded(*args):
+        sweeps.append((args[4], fill(*args)))  # (cap, sweeps run)
+        return sweeps[-1][1]
+
+    with _by("diagonals"), mock.patch.object(alignment, "_fill_diagonals", recorded):
+        got = align_global(dna(a, "a"), dna(b, "b"), DNA_SCHEME)
+    assert sweeps == [(count + 1, count + 1)]
+    gap_runs = sum(op in (AlignOp.INSERT, AlignOp.DELETE) for op, _ in got.ops)
+    assert gap_runs == count
+    _assert_oracle_alignment(got, a, b)
+    assert (got.aligned_a, got.aligned_b, got.ops, got.score) == _outcome(
+        a, b, DNA_SCHEME, None, "rows"
+    )
+
+
+def _planted_snvs(reference: Sequence, count: int) -> Sequence:
+    rng = random.Random(count)
+    residues = list(reference.residues)
+    for pos in rng.sample(range(len(residues)), count):
+        residues[pos] = rng.choice("ACGT".replace(residues[pos], ""))
+    return dna("".join(residues), "snv")
+
+
+@pytest.mark.parametrize("pair", ["4 snvs", "5 snvs", "divergent"])
+def test_long_narrow_bands_go_by_diagonals(pair: str, reference_cds):
+    # 4 or 5 substitutions leave the gapless score 2n - 3k no better than
+    # the slack-0 exit bound 2n - 12: a band 3 diagonals wide on 1179
+    # rows, filled by diagonals. The divergent pair's band is hundreds
+    # of diagonals wide and is filled by rows.
+    if pair == "divergent":
+        a, b = _divergent_pair()
+    else:
+        a, b = reference_cds, _planted_snvs(reference_cds, int(pair[0]))
+    with mock.patch.object(
+        alignment, "_fill_band", wraps=alignment._fill_band
+    ) as fill, mock.patch.object(
+        alignment, "_fill_diagonals", wraps=alignment._fill_diagonals
+    ) as by_diagonal:
+        got = align_global(a, b, DNA_SCHEME)
+    assert fill.call_count == 1
+    assert by_diagonal.call_count == (pair != "divergent")
+    _assert_oracle_alignment(got, a.residues, b.residues)
+
+
+def test_fill_by_diagonals_is_exact_near_the_float32_limit():
+    # scores of 100,000 on a 40 x 40 pair put _check_exact's bound at
+    # 16.0 million, just under 2**24: every value of the fill, the
+    # running sums C and the inputs V - C included, must stay exact
+    steep = ScoringScheme(match=100_000, mismatch=-100_000, gap_open=-100_000, gap_extend=-1)
+    rng = random.Random(7)
+    a = "".join(rng.choices("ACGT", k=40))
+    for b in (a[:10] + a[11:30] + "G" + a[30:], a[:8] + "T" + a[8:25] + a[26:]):
+        with _by("diagonals"), mock.patch.object(
+            alignment, "_fill_diagonals", wraps=alignment._fill_diagonals
+        ) as by_diagonal:
+            _same_as_oracle(dna(a, "a"), dna(b, "b"), steep)
+        assert by_diagonal.call_count == 1
+
+
 # --- the run-wise traceback against the full-matrix oracle
 
 
@@ -651,6 +826,56 @@ def test_alignment_needs_under_40_kb_beyond_its_band(store, subject_r248w):
         finally:
             tracemalloc.stop()
     assert peak - before - band[0] < 40 * 1024
+
+
+def _fill_scratch(a: Sequence, b: Sequence) -> tuple[int, int, int, bool]:
+    """The tracemalloc peak from entry to exit of the one _fill_band call
+    align_global makes, less the band it returns; with n, the band's
+    width and whether it went by diagonals."""
+    fill, by_diagonal, seen, diagonal = alignment._fill_band, alignment._fill_diagonals, [], []
+
+    def by_diagonal_seen(*args):
+        diagonal.append(True)
+        return by_diagonal(*args)
+
+    def measured(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mats = fill(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        band = mats[0].nbytes + mats[1].nbytes + mats[2].nbytes
+        seen.append((peak - before - band, len(args[0]), mats[0].shape[1] - 2))
+        return mats
+
+    align_global(a, b, DNA_SCHEME)  # index the words
+    with mock.patch.object(alignment, "_fill_band", measured), mock.patch.object(
+        alignment, "_fill_diagonals", by_diagonal_seen
+    ):
+        tracemalloc.start()
+        try:
+            align_global(a, b, DNA_SCHEME)
+        finally:
+            tracemalloc.stop()
+    ((scratch, n, width),) = seen
+    return scratch, n, width, diagonal == [True]
+
+
+@pytest.mark.parametrize("band", ["narrow", "wide"])
+def test_fill_scratch_stays_under_its_stated_limit(band: str, reference_cds):
+    # by diagonals: four float32 vectors of n + 1 (it keeps three, and
+    # the residue codes); by rows: the windows, one float32 per letter
+    # (4 here) and per position along a row and a column, and the two
+    # top rows. Each with 8 KB for small objects and numpy's buffers.
+    a, b = (reference_cds, _planted_snvs(reference_cds, 5)) if band == "narrow" else (
+        _divergent_pair()
+    )
+    scratch, n, width, diagonal = _fill_scratch(a, b)
+    assert diagonal is (band == "narrow")
+    if diagonal:
+        limit = 4 * 4 * (n + 1) + 8 * 1024
+    else:
+        limit = 4 * 4 * (n + width) + 2 * 4 * (width + 2) + 8 * 1024
+    assert scratch < limit
 
 
 def test_oversized_band_raises_named_error(monkeypatch):

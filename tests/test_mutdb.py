@@ -269,6 +269,21 @@ def test_filter_query_validation():
         FilterQuery(clauses=(("codon", "248"),))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_codon_clause_rejected(flag: bool):
+    # True hashes as 1: taken as a codon it would return codon 1's rows
+    with pytest.raises(ValueError, match="codon clause needs an integer"):
+        FilterQuery(clauses=(("codon", flag),))
+
+
+@pytest.mark.parametrize("value", [5, 1.5, None, b"Sarcoma"])
+def test_text_clause_needs_a_str(db, value):
+    # a number never equals a text cell, so it would silently match nothing
+    with pytest.raises(ValueError, match="tumor_type clause needs text"):
+        FilterQuery(clauses=(("tumor_type", value),))
+    assert query(db, FilterQuery(clauses=(("tumor_type", "Sarcoma"),))).matches
+
+
 def test_from_strings_parses_clauses():
     q = FilterQuery.from_strings(["codon=248", "tumor_type=Breast carcinoma"])
     assert q.clauses == (("codon", 248), ("tumor_type", "Breast carcinoma"))
