@@ -6,18 +6,23 @@ shared by the two sequences (BLAST-style seeds) are chained into a real
 global path; its score is a lower bound on the optimum. That bound fixes
 a band of diagonals that provably holds every optimal path (Fickett
 1984; Ukkonen 1985), so the DP is filled once, on that band only:
-memory is O((n + m) * band width), 8 bytes per cell. A band many times
-longer than it is wide is filled one diagonal at a time, in a few
-alternating sweeps of whole-diagonal numpy calls (after Farrar's
-striped fill, 2007); any other band row by row. A band of one diagonal
-needs no DP at all. A caller that only wants alignments scoring at
-least some floor (a ranking leader's score) passes it: the band then
-only has to hold paths that reach the target, the larger of the seed's
-score and the floor, and an alignment below the floor is refused
-before any traceback. The traceback reads the cells as the fill stored
-them, checks diagonal runs a chunk at a time and steps through gap runs
-cell by cell. It is deterministic: at every choice point Match/Mismatch
-is preferred over Delete, and Delete over Insert.
+memory is O((n + m) * band width), two int32 matrices, 8 bytes per
+cell; a cell no path reaches holds a sentinel far below every score
+where a float fill would hold -inf. A band many times longer than it
+is wide is filled one diagonal at a time, in a few alternating sweeps
+of whole-diagonal numpy calls (after Farrar's striped fill, 2007); any
+other band row by row. A band of one diagonal needs no DP at all. A
+caller that only wants alignments scoring at least some floor (a
+ranking leader's score) passes it: the band then only has to hold
+paths that reach the target, the larger of the seed's score and the
+floor, and an alignment below the floor is refused before any
+traceback. A pair that could not reach the floor even with as many
+matches as its longest common subsequence (found bit-parallel, Allison
+& Dix 1986) is refused before a row fill allocates anything. The
+traceback reads the cells as the fill stored them, checks diagonal
+runs a chunk at a time and steps through gap runs cell by cell. It is
+deterministic: at every choice point Match/Mismatch is preferred over
+Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -38,14 +43,16 @@ from .seqio import Sequence
 
 GAP = "-"
 
-_NEG_INF = float("-inf")
+# What a cell no path reaches holds in place of -inf; see _check_exact.
+_UNREACHED = -(2**30)
 
-# Cells one band may hold, 2 float32 matrices of 4 bytes each: at most
+# Cells one band may hold, 2 int32 matrices of 4 bytes each: at most
 # 208 MB. A 5000 x 5000 alignment at full width needs 5001 * 5003.
 MAX_BAND_CELLS = 26_000_000
 
-# float32 holds every integer of smaller magnitude exactly.
-_EXACT_FLOAT32 = 2**24
+# Scores a fill may reach: below it, score values and values grown from
+# _UNREACHED stay apart and inside int32; see _check_exact.
+_HEADROOM = 2**29
 
 # Runs a word-hit run looks back over for its predecessor in a chain.
 _CHAIN_REACH = 64
@@ -149,21 +156,21 @@ def _windows(
     """windows[c][i][p]: the shifted score of pairing residue c with
     b[j-1], sub - 2 * gap_extend, where (i, j) is stored at position p.
 
-    Where j is outside 1..m the value is unused: M there adds it to -inf
-    or lies past column m. Built before the band is allocated, so its
-    temporaries are gone by then.
+    Where j is outside 1..m the value is unused: M there adds it to an
+    unreached cell or lies past column m. Built before the band is
+    allocated, so its temporaries are gone by then.
     """
     n, m = len(a), len(b)
-    f32 = np.float32
+    i32 = np.int32
     b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
     b_at = b_codes[np.clip(np.arange(first - 1, first - 1 + step * n + width), 0, m - 1)]
-    hit = f32(scheme.match - 2 * scheme.gap_extend)
-    miss = f32(scheme.mismatch - 2 * scheme.gap_extend)
+    hit = i32(scheme.match - 2 * scheme.gap_extend)
+    miss = i32(scheme.mismatch - 2 * scheme.gap_extend)
     windows = {}
     for ch in set(a):
         scores = np.where(b_at == ord(ch), hit, miss)
         strides = (step * scores.itemsize, scores.itemsize)
-        windows[ch] = np.ndarray((n + 1, width), f32, scores, strides=strides)
+        windows[ch] = np.ndarray((n + 1, width), i32, scores, strides=strides)
     return windows
 
 
@@ -253,16 +260,16 @@ def _fill_diagonals(
     in: a cell on no such path may still hold less than its optimum,
     which the traceback never tells apart.
 
-    Scratch is three float32 vectors of n + 1 and the residue codes. The
-    running maximum's inputs other - C are exact in float32: see
+    Scratch is three int32 vectors of n + 1 and the residue codes. The
+    running maximum's inputs other - C stay inside int32: see
     _check_exact.
     """
     n, width = len(a), mat_m.shape[1] - 2
-    f32 = np.float32
-    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=f32)
+    i32 = np.int32
+    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=i32)
     # W is miss, plus lift where the residues match
-    lift = np.array(scheme.match - scheme.mismatch, dtype=f32)
-    miss = np.array(scheme.mismatch - 2 * scheme.gap_extend, dtype=f32)
+    lift = np.array(scheme.match - scheme.mismatch, dtype=i32)
+    miss = np.array(scheme.mismatch - 2 * scheme.gap_extend, dtype=i32)
     codes_a = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
     # b_cols[c-1][i-1] is b[i+d-1]; where that index leaves b an end
     # residue stands in: no cell of the matrix reads those cells, and C
@@ -273,29 +280,30 @@ def _fill_diagonals(
     del padded  # the codes are all the fill reads
     # run is C; gain is W, then A; edge is the top (right to left) or
     # the Y (left to right) the next column reads
-    run, gain, edge = (np.empty(n + 1, dtype=f32) for _ in range(3))
+    run, gain, edge = (np.empty(n + 1, dtype=i32) for _ in range(3))
     run[0] = 0
 
     # row 0: M(0, 0) at column ``origin``, then an Insert run
     origin = 1 - first
-    top0 = [_NEG_INF] * origin + [mat_m.item(0, origin)]
-    top0 += [top0[-1] + float(reopen)] * (width - origin)
-    add, subtract, maximum, running_max = np.add, np.subtract, np.maximum, np.maximum.accumulate
+    top0 = [_UNREACHED] * origin + [mat_m.item(0, origin)]
+    top0 += [top0[-1] + int(reopen)] * (width - origin)
+    add, subtract, maximum = np.add, np.subtract, np.maximum
+    running_sum, running_max = np.add.accumulate, np.maximum.accumulate
 
-    def running_sum(b_col: np.ndarray) -> None:
+    def window_sums(b_col: np.ndarray) -> None:
         w = gain[1:]
         np.equal(codes_a, b_col, out=w)
         np.multiply(w, lift, out=w)
         add(w, miss, out=w)
-        np.cumsum(w, out=run[1:])
+        running_sum(w, out=run[1:])
 
     for sweep in range(1, sweeps + 1):
-        edge.fill(_NEG_INF)
+        edge.fill(_UNREACHED)
         if sweep % 2 == 0:  # left to right
             for c, m_col, x_col, b_col in zip(
                 range(1, width + 1), mat_m.T[1:-1], mat_x.T[1:-1], b_cols
             ):
-                running_sum(b_col)
+                window_sums(b_col)
                 y_row[c - 1] = edge[-1]
                 maximum(x_col[1:], edge[1:], out=gain[1:])
                 gain[0] = top0[c]
@@ -307,7 +315,7 @@ def _fill_diagonals(
                 maximum(edge, gain, out=edge)
             continue
         # right to left; the first sweep moves every reachable cell off
-        # -inf, and the last needs no check
+        # the sentinel, and the last needs no check
         moved = sweep in (1, sweeps)
         for c, m_col, x_col, x_right, b_col in zip(
             range(width, 0, -1),
@@ -316,7 +324,7 @@ def _fill_diagonals(
             mat_x[:-1].T[width + 1 : 1 : -1],
             b_cols[::-1],
         ):
-            running_sum(b_col)
+            window_sums(b_col)
             # A as it stands: top(0), M(i+1) - C(i+1), and top(n) - C(n)
             gain[0] = top0[c]
             subtract(m_col[2:], run[2:], out=gain[1:-1])
@@ -347,19 +355,22 @@ def _fill_band(
     Y[i, j]: last column consumes b[j-1] against a gap (Insert run).
 
     Diagonal d holds the cells with j - i = d. Values are the optimum
-    over paths that stay inside the band, as float32 (exact: see
-    _check_exact). M and X are kept whole, since the traceback reads
-    them; Y is kept for the last row only, since it reads Y nowhere
-    else. Returns M, X, the last Y row and (step, first): cell (i, j)
-    is stored at row i, column c = j - step*i - first + 1, with a -inf
-    column at each end of a row (the Y row has none on the left, so
-    column c there is column c + 1 of M and X).
+    over paths that stay inside the band, as int32. A cell no in-band
+    path reaches starts at _UNREACHED and gains what any cell gains, so
+    it holds the sentinel plus a drift: below every score, never
+    chosen, never wrapped (_check_exact). M and X are kept whole, since
+    the traceback reads them; Y is kept for the last row only, since it
+    reads Y nowhere else. Returns M, X, the last Y row and (step,
+    first): cell (i, j) is stored at row i, column c = j - step*i -
+    first + 1, with an unreached column at each end of a row (the Y row
+    has none on the left, so column c there is column c + 1 of M and
+    X).
 
     A band narrower than the matrix is stored by diagonal (step 1,
     first lo): row i holds j = i+lo .. i+hi, so (i-1, j-1) sits in the
     same column as (i, j) and (i-1, j) one column to the right. Columns
-    with j < 0 read -inf; those with j > m hold values no cell of the
-    matrix reads. A band at least as wide as the matrix is the whole
+    with j < 0 are unreached; those with j > m hold values no cell of
+    the matrix reads. A band at least as wide as the matrix is the whole
     matrix (step 0, first 0), where (i-1, j-1) sits one column left.
 
     Cells are stored shifted: cell (i, j) holds its score minus
@@ -384,9 +395,13 @@ def _fill_band(
     numpy calls, none with a ramp, and the rows are walked with zip over
     row views while two top buffers take turns.
 
-    With a ``floor``, every _FLOOR_CHECK_ROWS rows the row fill bounds the
-    best in-band path and returns None once that bound is below the
-    floor (Ukkonen 1985). Every path crosses row i, at some cell (i, j)
+    With a ``floor``, a row fill first bounds every alignment of the
+    pair by the matches a longest common subsequence allows
+    (_lcs_length, _match_bound) and returns None, before anything is
+    allocated, if that bound is below the floor. Then every
+    _FLOOR_CHECK_ROWS rows it bounds the best in-band path and returns
+    None once that bound is below the floor (Ukkonen 1985). Every path
+    crosses row i, at some cell (i, j)
     of the band; it scores at most top(i, j) plus the best a suffix from
     there can add. A suffix of k diagonal and g gap columns scores at
     most k * match + g * gap_extend, with g = (n - i) + (m - j) - 2k, so
@@ -412,11 +427,13 @@ def _fill_band(
         )
     by_diagonal = not whole and width * _ROWS_PER_DIAGONAL <= n
     if not by_diagonal:
+        if floor is not None and _match_bound(n, m, _lcs_length(a, b), scheme) < floor:
+            return None
         windows = _windows(a, b, scheme, step, first, width)
-    f32 = np.float32
-    mat_m = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
-    mat_x = np.full((n + 1, width + 2), _NEG_INF, dtype=f32)
-    y_row = np.full(width, _NEG_INF, dtype=f32)
+    i32 = np.int32
+    mat_m = np.full((n + 1, width + 2), _UNREACHED, dtype=i32)
+    mat_x = np.full((n + 1, width + 2), _UNREACHED, dtype=i32)
+    y_row = np.full(width, _UNREACHED, dtype=i32)
     # M(0, 0) = 0, shifted, in storage column 1 - first
     mat_m[0, 1 - first] = -(1 - first) * scheme.gap_extend
     if by_diagonal:
@@ -425,21 +442,21 @@ def _fill_band(
         return mat_m, mat_x, y_row, step, first
 
     # a 0-d array: ufuncs take it faster than a numpy scalar
-    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=f32)
+    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=i32)
     y_tail = y_row[1:]
     inner_m, inner_x = mat_m[:, 1:-1], mat_x[:, 1:-1]
     # x_above row i-1 is X at (i-1, j) for the cell (i, j) at each position
     x_above = mat_x[:-1, 1 + step : 1 + step + width]
 
-    # row 0: M(0, 0), then an Insert run; X is -inf throughout
-    tops = [np.full(width + 2, _NEG_INF, dtype=f32) for _ in range(2)]
+    # row 0: M(0, 0), then an Insert run; X is unreached throughout
+    tops = [np.full(width + 2, _UNREACHED, dtype=i32) for _ in range(2)]
     start = -first
     tops[0][1 + start] = mat_m.item(0, 1 + start)
     tops[0][2 + start : -1] = tops[0][1 + start] + reopen
 
     # the two top buffers take turns as the row above, read at (i-1, j-1)
     # and (i-1, j), and as the row being filled (whole, and all but its
-    # last cell for the Insert scan); both keep their -inf end columns
+    # last cell for the Insert scan); both keep their unreached end columns
     above = [(t[step : step + width], t[1 + step : 1 + step + width]) for t in tops]
     filling = [(t[1:-1], t[1:-2]) for t in tops]
     turns = cycle((above[0] + filling[1], above[1] + filling[0]))
@@ -474,7 +491,7 @@ def _traceback(
     scheme: ScoringScheme,
     mat_m: np.ndarray,
     mat_x: np.ndarray,
-    ends: tuple[float, float, float],
+    ends: tuple[int, int, int],
     step: int,
     end: int,
 ) -> tuple[str, str]:
@@ -487,20 +504,21 @@ def _traceback(
     nor X. The predecessors of a state all sit in one cell and share
     its shift, so, as in the fill, a diagonal step adds that cell's
     window score, an open adds gap_open - gap_extend and an extend adds
-    nothing. All values are integer-valued floats, so exact equality
-    against candidate predecessors is safe. Preference order M > X > Y
-    applies at the end cell and at every step. A predecessor outside
-    the band reads -inf and is never chosen.
+    nothing. All values are integers, so exact equality against
+    candidate predecessors is safe. Preference order M > X > Y applies
+    at the end cell and at every step. A predecessor no in-band path
+    reaches holds a value below every score (_check_exact), so it never
+    equals the value sought and is never chosen.
 
     In state M the walk takes a diagonal run at once: it stays in M
     past a cell while the stored M up the diagonal equals this cell's
     stored M minus its window score. The check runs on up to _RUN_CHUNK
-    cells per numpy pass, in float64 so the subtraction is exact, which
-    bounds the cells looked at past the end of a run; the run is
-    emitted as two string slices. Where a run ends, and in the gap
-    states, the walk steps one cell at a time.
+    cells per numpy pass, in integers, which bounds the cells looked at
+    past the end of a run; the run is emitted as two string slices.
+    Where a run ends, and in the gap states, the walk steps one cell at
+    a time.
     """
-    reopen = float(scheme.gap_open - scheme.gap_extend)
+    reopen = scheme.gap_open - scheme.gap_extend
     # the window scores of _fill_band, as integers
     hit = scheme.match - 2 * scheme.gap_extend
     miss = scheme.mismatch - 2 * scheme.gap_extend
@@ -518,8 +536,7 @@ def _traceback(
     cols_b: list[str] = []
     while i > 0 or j > 0:
         if state == "M":
-            # cells (i-k, j-k) .. (i, j) of the diagonal; int64 scores
-            # make the check float64
+            # cells (i-k, j-k) .. (i, j) of the diagonal
             k = min(_RUN_CHUNK, i, j)
             run_cells = flat_m[at - k * diag : at + 1 : diag]
             codes_a = np.frombuffer(a[i - k : i].encode("ascii"), dtype=np.uint8)
@@ -599,6 +616,62 @@ def _slack_beating(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
     return lo
 
 
+def _lcs_length(a: str, b: str) -> int:
+    """Length of a longest common subsequence of ``a`` and ``b``.
+
+    Bit-parallel over one Python int of len(b) bits (Allison & Dix
+    1986; Hyyrö 2004): after the first i residues of ``a``, bit j of v
+    is clear where the LCS of those residues and b[:j + 1] is one longer
+    than with b[:j], so the clear bits count the LCS. Each residue x of
+    ``a`` takes v = (v + (v & hit[x])) | (v & miss[x]), hit[x] marking
+    where b holds x. A carry out of the top bit lands above the len(b)
+    bits that are read, and no later step reads it.
+    """
+    m = len(b)
+    full = (1 << m) - 1
+    codes_b = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    masks = {}
+    for ch in set(a):
+        bits = np.packbits(codes_b == ord(ch), bitorder="little")
+        hit = int.from_bytes(bits.tobytes(), "little")
+        masks[ch] = (hit, full ^ hit)
+    v = full
+    for hit, miss in map(masks.__getitem__, a):
+        v = (v + (v & hit)) | (v & miss)
+    return m - (v & full).bit_count()
+
+
+def _match_bound(n: int, m: int, matches: int, scheme: ScoringScheme) -> int:
+    """Upper bound on the score of any global alignment of n residues
+    against m with at most ``matches`` Match columns.
+
+    An alignment with D Delete columns has n - D diagonal columns, of
+    which at most min(matches, n - D) match, and D + m - n Insert
+    columns. Every gap column costs at least gap_extend, which drops
+    the open premium, so under any scheme it scores at most
+
+        (match - mismatch) * min(matches, n - D) + mismatch * (n - D)
+            + gap_extend * (2 * D + m - n),
+
+    for D from max(0, n - m) to n. That is linear in D on either side
+    of D = n - matches, and its slope falls there, so the maximum sits
+    at one of the three values tried. With matches = min(n, m) it is the
+    all-match bound of the row fill's check at row 0.
+    """
+    lift = scheme.match - scheme.mismatch
+
+    def bound(deletes: int) -> int:
+        diagonal = n - deletes
+        return (
+            lift * min(matches, diagonal)
+            + scheme.mismatch * diagonal
+            + scheme.gap_extend * (2 * deletes + m - n)
+        )
+
+    fewest = max(0, n - m)
+    return max(map(bound, (fewest, max(fewest, n - matches), n)))
+
+
 class _Seed(NamedTuple):
     """A global path built from exact word hits, before any DP.
 
@@ -616,25 +689,34 @@ def _word_runs(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
 
     A hit is a word that occurs exactly once in each sequence. Returns
     each run's start in ``a``, start in ``b`` and length in residues;
-    every residue pair of a run matches exactly.
+    every residue pair of a run matches exactly. Positions are int32,
+    and each temporary is dropped once it has been used.
     """
     codes_a, starts_a = a.unique_words
     codes_b, starts_b = b.unique_words
-    at = np.searchsorted(codes_a, codes_b)
-    hit = at < len(codes_a)
-    hit[hit] = codes_a[at[hit]] == codes_b[hit]
-    pa, pb = starts_a[at[hit]], starts_b[hit]
-    if not len(pa):
+    if not len(codes_a) or not len(codes_b):
         return []
-    order = np.argsort(pa)
-    pa, pb = pa[order], pb[order]
-    # a word occurs once in a, so hits at pa and pa+1 on one diagonal
-    # are two overlapping words of one exact match
-    breaks = (np.diff(pa) != 1) | (np.diff(pb) != 1)
-    heads = np.flatnonzero(np.concatenate(([True], breaks)))
-    tails = np.flatnonzero(np.concatenate((breaks, [True])))
-    sizes = pa[tails] - pa[heads] + a.alphabet.word_size
-    return list(zip(pa[heads].tolist(), pb[heads].tolist(), sizes.tolist()))
+    # at[k]: where b's k-th word sits among a's words, if anywhere
+    at = np.searchsorted(codes_a, codes_b)
+    np.minimum(at, len(codes_a) - 1, out=at)
+    hit = codes_a[at] == codes_b
+    at = at[hit]
+    pa = starts_a[at]
+    del at
+    pb = starts_b[hit]
+    del hit
+    # partner[p]: the start in b of the hit word starting at p in a, or -1
+    partner = np.full(len(a), -1, dtype=np.int32)
+    partner[pa] = pb
+    del pa, pb
+    hit = partner >= 0
+    # a word occurs once in a, so hits at p and p+1 on one diagonal are
+    # two overlapping words of one exact match
+    joined = hit[:-1] & (np.diff(partner) == 1)
+    heads = np.flatnonzero(hit & ~np.concatenate(([False], joined)))
+    tails = np.flatnonzero(hit & ~np.concatenate((joined, [False])))
+    sizes = tails - heads + a.alphabet.word_size
+    return list(zip(heads.tolist(), partner[heads].tolist(), sizes.tolist()))
 
 
 def _chain(runs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
@@ -712,7 +794,8 @@ def _seed(a: Sequence, b: Sequence, scheme: ScoringScheme) -> _Seed:
 
 
 def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
-    """Raise unless float32 holds every value either fill forms exactly.
+    """Raise unless the int32 cells have room for every value either
+    fill forms, with scores and sentinels kept apart.
 
     Each stored cell, each running-maximum input and each sum of the
     row fill is the score V of a path into some cell (i, j) of the matrix,
@@ -724,31 +807,45 @@ def _check_exact(n: int, m: int, scheme: ScoringScheme) -> None:
     (n + m + (n + 1) // 2) * |gap_extend|. With |gap_extend| <= largest,
     every value lies within
 
-        2 * (n + m) * largest + ((n + 1) // 2) * |gap_extend|,
+        B = 2 * (n + m) * largest + ((n + 1) // 2) * |gap_extend|.
 
-    and float32 holds every integer below 2**24. Cells with j > m reach
-    no cell of the matrix, so their values need not be exact.
+    A cell no in-band path reaches starts at _UNREACHED = -2**30 and
+    gains what a reached cell gains: a window score per diagonal step,
+    an open, or nothing per extend. From row 0 or a band edge, that is
+    at most 3 * largest per diagonal step and largest per gap column,
+    within B by the same count, so it holds the sentinel plus a drift
+    within B. With B below _HEADROOM = 2**29, a reached cell holds at
+    least -B and an unreached one at most -2**30 + B < -B: every max
+    keeps a score over a sentinel, and the traceback never takes one
+    for a score. Cells with j > m reach no cell of the matrix; their
+    paths have fewer than 2 * n + m columns (j - i <= hi < m), so they
+    hold values within 2 * B of 0 or of the sentinel. So no value comes
+    near the int32 limits of -2**31 and 2**31 - 1, and none wraps, which
+    numpy would do without a warning.
 
     The diagonal fill (_fill_diagonals) adds C, the running sum of the
     window scores down a diagonal, and the running maximum's inputs V -
     C. C(i) is the gapless score of the diagonal's first i rows less
-    2 * i * gap_extend, so |C| <= 3 * n * largest, within the bound
-    since a band narrower than the matrix has n < 2 * m. At a cell in
-    storage column c, V - C = S - D - c * gap_extend, where S is the
-    unshifted score of a path into the cell (at most n + m columns) and
-    D the gapless score above it on its diagonal (at most n columns):
-    within (2 * n + m) * largest + width * |gap_extend|, and such a band
-    has width <= m, so within the bound too. The rest are sums of C and
-    V - C that give stored cells, or top + o.
+    2 * i * gap_extend, so |C| <= 3 * n * largest, within B since a band
+    narrower than the matrix has n < 2 * m. At a cell in storage column
+    c, V - C = S - D - c * gap_extend, where S is the unshifted score of
+    a path into the cell (at most n + m columns) and D the gapless score
+    above it on its diagonal (at most n columns): within (2 * n + m) *
+    largest + width * |gap_extend|, and such a band has width <= m, so
+    within B too; at an unreached cell it is within 2 * B of the
+    sentinel. The running maximum compares inputs that all differ by
+    the same C(i) from the values they stand for at row i, so it too
+    keeps a score over a sentinel. The rest are sums of C and V - C
+    that give stored cells, or top + o.
     """
     largest = max(
         abs(scheme.match), abs(scheme.mismatch), abs(scheme.gap_open), abs(scheme.gap_extend)
     )
     bound = 2 * (n + m) * largest + ((n + 1) // 2) * abs(scheme.gap_extend)
-    if bound >= _EXACT_FLOAT32:
+    if bound >= _HEADROOM:
         raise AlignmentTooLargeError(
             f"a {n} x {m} alignment with scores up to {largest} could reach "
-            f"{bound}, beyond the exact float32 range of {_EXACT_FLOAT32}"
+            f"{bound}, beyond the int32 headroom of {_HEADROOM}"
         )
 
 
@@ -780,8 +877,8 @@ def align_global(
     Raises:
         AlphabetMismatchError: if the sequences use different alphabets.
         AlignmentTooLargeError: if the band needs more than
-            MAX_BAND_CELLS, or the scores could leave the exact float32
-            range.
+            MAX_BAND_CELLS, or the scores could reach the int32
+            headroom (_check_exact).
     """
     if a.alphabet is not b.alphabet:
         raise AlphabetMismatchError(

@@ -83,7 +83,7 @@ class Sequence:
 
         Returns (codes, starts): each word as a base-R integer over the
         sorted alphabet, in ascending order, and the 0-based position
-        where it starts. Both arrays are read-only.
+        where it starts, as int32. Both arrays are read-only.
         """
         letters = sorted(self.alphabet.residues)
         k, radix = self.alphabet.word_size, len(letters)
@@ -101,7 +101,7 @@ class Sequence:
         once = np.ones(len(codes), dtype=bool)
         once[1:] &= ~repeat
         once[:-1] &= ~repeat
-        index = codes[once], starts[once]
+        index = codes[once], starts[once].astype(np.int32)
         for array in index:
             array.setflags(write=False)
         return index

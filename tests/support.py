@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the library's own algorithms: one
 alignment oracle enumerates every monotone alignment path, the other
 fills the whole Gotoh matrix (the aligner the banded one replaced), the
-ranking oracle aligns every store entry on that full matrix, the ops
+LCS oracle is the textbook quadratic table, the ranking oracle aligns every store entry on that full matrix, the ops
 and calling oracles read gapped rows one column at a time, the loader
 oracle builds one record per row, and the query oracle is a plain
 linear scan with its own normalization.
@@ -59,6 +59,17 @@ def oracle_best_score(a: str, b: str, scheme: ScoringScheme) -> int:
             push((i, j + 1, 2, acc + (ge if last == 2 else go)))
     assert best is not None
     return best
+
+
+def oracle_lcs(a: str, b: str) -> int:
+    """Length of a longest common subsequence, by the textbook O(nm)
+    table kept one row at a time."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diagonal, row[0] = 0, 0
+        for j, y in enumerate(b, 1):
+            diagonal, row[j] = row[j], diagonal + 1 if x == y else max(row[j], row[j - 1])
+    return row[-1]
 
 
 def _fill_matrices(

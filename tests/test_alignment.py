@@ -35,6 +35,7 @@ from support import (
     oracle_best_score,
     oracle_column_ops,
     oracle_full_alignment,
+    oracle_lcs,
     rescore_alignment,
 )
 
@@ -449,7 +450,9 @@ def test_floor_refuses_exactly_the_pairs_below_it(
 @pytest.mark.parametrize("above", [50, 400])
 def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
     # a floor above the optimum refuses the divergent pair inside the
-    # fill, before its last row, not after it
+    # fill, not after it: 400 above the optimum (1628) is above the
+    # pair's LCS bound (1782), so no row runs; 50 above is not, and the
+    # row bound stops the fill before its last row
     a, b = _divergent_pair()
     best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
     fill, fills = alignment._fill_band, []
@@ -458,9 +461,76 @@ def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
         fills.append(fill(*args))
         return fills[-1]
 
-    with mock.patch.object(alignment, "_fill_band", recorded):
+    with mock.patch.object(alignment, "_fill_band", recorded), mock.patch.object(
+        alignment, "_windows", wraps=alignment._windows
+    ) as windows:
         assert align_global(a, b, DNA_SCHEME, floor=best + above) is None
     assert fills == [None]
+    assert windows.call_count == (above == 50)
+
+
+def _lcs_bound(a: str, b: str, scheme: ScoringScheme) -> int:
+    return alignment._match_bound(len(a), len(b), oracle_lcs(a, b), scheme)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.text(alphabet="ACGTN", min_size=1, max_size=70),
+    b=st.text(alphabet="ACGTN", min_size=1, max_size=70),
+)
+def test_lcs_length_is_the_textbook_table(a: str, b: str):
+    # up to 70 bits: the additions carry across several 30-bit digits
+    # of a Python int, and out of the top bit
+    assert alignment._lcs_length(a, b) == oracle_lcs(a, b)
+
+
+def _signed_schemes() -> st.SearchStrategy[ScoringScheme]:
+    """Schemes whose match may be negative too, so that all three terms
+    of the bound take turns as its maximum: D = n - L once 2 *
+    gap_extend > mismatch, and D = n once match < 2 * gap_extend."""
+    return st.builds(
+        lambda match, below, extend, open_minus: ScoringScheme(
+            match=match,
+            mismatch=match - below,
+            gap_open=extend - open_minus,
+            gap_extend=extend,
+        ),
+        st.integers(-3, 4),
+        st.integers(1, 6),
+        st.integers(-3, 0),
+        st.integers(0, 6),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.text(alphabet="ACGTN", min_size=1, max_size=25),
+    b=st.text(alphabet="ACGTN", min_size=1, max_size=25),
+    scheme=_signed_schemes(),
+)
+# free gaps and a losing match: the all-gap alignment scores 0, the
+# D = n term; the D = n - L term alone (-1) would be below it
+@example(a="ACGT", b="TGCA", scheme=ScoringScheme(-1, -3, 0, 0))
+def test_lcs_bound_is_an_upper_bound(a: str, b: str, scheme: ScoringScheme):
+    bound = _lcs_bound(a, b, scheme)
+    assert bound >= oracle_full_alignment(a, b, scheme).score
+    # with every residue of the shorter sequence a match it is the row
+    # fill's all-match bound at row 0, so it is never looser than that
+    n, m = len(a), len(b)
+    gain = max(0, scheme.match - 2 * scheme.gap_extend)
+    everything = (n + m) * scheme.gap_extend + gain * min(n, m)
+    assert bound <= alignment._match_bound(n, m, min(n, m), scheme) == everything
+
+
+def test_lcs_bound_refuses_before_any_row():
+    # a divergent pair at a floor just above its LCS bound is refused
+    # with no window, band or row; at the bound itself the row fill runs
+    a, b = _divergent_pair()
+    bound = _lcs_bound(a.residues, b.residues, DNA_SCHEME)
+    for floor, rows in ((bound + 1, False), (bound, True)):
+        with mock.patch.object(alignment, "_windows", wraps=alignment._windows) as windows:
+            assert align_global(a, b, DNA_SCHEME, floor=floor) is None
+        assert windows.call_count == rows
 
 
 @pytest.mark.parametrize("pair", ["bundled", "divergent"])
@@ -531,6 +601,19 @@ def _by(kind: str):
     )
 
 
+# every value below this is a sentinel plus its drift (_check_exact)
+_SENTINEL_REGION = alignment._UNREACHED + alignment._HEADROOM
+
+
+def _assert_same_values(rows: np.ndarray, diagonals: np.ndarray) -> None:
+    """Equal where an in-band path reaches the cell; where none does,
+    both in the sentinel region. A sentinel drifts by what the cells
+    around it add, and the two fills add in different orders."""
+    reached = rows >= _SENTINEL_REGION
+    assert np.array_equal(reached, diagonals >= _SENTINEL_REGION)
+    assert np.array_equal(rows[reached], diagonals[reached])
+
+
 def _assert_same_cells(a: str, b: str, rows: tuple, diagonals: tuple) -> None:
     """Stored M and X agree at every cell with 0 <= j <= m (cells with
     j > m are read by no cell of the matrix), and Y at the end cell."""
@@ -540,10 +623,10 @@ def _assert_same_cells(a: str, b: str, rows: tuple, diagonals: tuple) -> None:
     # row i, storage column c holds cell (i, i + first + c - 1)
     j = np.arange(n + 1)[:, None] + first - 1 + np.arange(mat_m.shape[1])
     inside = j <= m
-    assert np.array_equal(mat_m[inside], diagonals[0][inside])
-    assert np.array_equal(mat_x[inside], diagonals[1][inside])
+    _assert_same_values(mat_m[inside], diagonals[0][inside])
+    _assert_same_values(mat_x[inside], diagonals[1][inside])
     end = m - n - first + 1
-    assert y_last[end - 1] == diagonals[2][end - 1]
+    _assert_same_values(y_last[end - 1 : end], diagonals[2][end - 1 : end])
 
 
 @st.composite
@@ -579,8 +662,9 @@ def _band_cases(draw) -> tuple[str, str, int]:
 @settings(max_examples=250, deadline=None)
 @given(case=_band_cases(), scheme=_schemes())
 def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringScheme):
-    # with no cap the sweeps run until one moves nothing: every cell of
-    # the matrix then holds its in-band optimum, as the row fill's does.
+    # with no cap the sweeps run until one moves nothing: every reached
+    # cell of the matrix then holds its in-band optimum, as the row
+    # fill's does, and every other cell a sentinel in both.
     # Slacks up to 8 are wider than these lengths ever send by diagonals.
     a, b, slack = case
     with _by("rows"):
@@ -679,19 +763,32 @@ def test_long_narrow_bands_go_by_diagonals(pair: str, reference_cds):
     _assert_oracle_alignment(got, a.residues, b.residues)
 
 
-def test_fill_by_diagonals_is_exact_near_the_float32_limit():
-    # scores of 100,000 on a 40 x 40 pair put _check_exact's bound at
-    # 16.0 million, just under 2**24: every value of the fill, the
-    # running sums C and the inputs V - C included, must stay exact
-    steep = ScoringScheme(match=100_000, mismatch=-100_000, gap_open=-100_000, gap_extend=-1)
+@pytest.mark.parametrize("kind", ["diagonals", "rows"])
+def test_fills_are_exact_up_to_the_int32_headroom(kind: str):
+    # on a 40 x 40 pair _check_exact's bound is 160 * largest + 20 *
+    # |gap_extend|: 536,800,020 at scores of 3,355,000, just under
+    # 2**29 = 536,870,912. There every value of either fill, the running
+    # sums C and the inputs V - C included, must stay exact and apart
+    # from the sentinels; at scores of 3,355,444 the bound is past 2**29
     rng = random.Random(7)
     a = "".join(rng.choices("ACGT", k=40))
-    for b in (a[:10] + a[11:30] + "G" + a[30:], a[:8] + "T" + a[8:25] + a[26:]):
-        with _by("diagonals"), mock.patch.object(
-            alignment, "_fill_diagonals", wraps=alignment._fill_diagonals
-        ) as by_diagonal:
-            _same_as_oracle(dna(a, "a"), dna(b, "b"), steep)
-        assert by_diagonal.call_count == 1
+    for largest, admitted in ((3_355_000, True), (3_355_444, False)):
+        steep = ScoringScheme(
+            match=largest, mismatch=-largest, gap_open=-largest, gap_extend=-1
+        )
+        for b in (a[:10] + a[11:30] + "G" + a[30:], a[:8] + "T" + a[8:25] + a[26:]):
+            with _by(kind), mock.patch.object(
+                alignment, "_fill_diagonals", wraps=alignment._fill_diagonals
+            ) as by_diagonal, mock.patch.object(
+                alignment, "_fill_band", wraps=alignment._fill_band
+            ) as fill:
+                if admitted:
+                    _same_as_oracle(dna(a, "a"), dna(b, "b"), steep)
+                else:
+                    with pytest.raises(AlignmentTooLargeError, match="int32"):
+                        align_global(dna(a, "a"), dna(b, "b"), steep)
+            assert fill.call_count == admitted
+            assert by_diagonal.call_count == (admitted and kind == "diagonals")
 
 
 # --- the run-wise traceback against the full-matrix oracle
@@ -790,7 +887,7 @@ def test_band_cells_take_8_bytes():
 
 
 def test_band_memory_is_linear_in_length(reference_cds, subject_r248w):
-    # a full 1179 x 1179 fill of 2 float32 matrices would take about 11 MB
+    # a full 1179 x 1179 fill of 2 int32 matrices would take about 11 MB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -828,6 +925,23 @@ def test_alignment_needs_under_40_kb_beyond_its_band(store, subject_r248w):
     assert peak - before - band[0] < 40 * 1024
 
 
+def test_seed_needs_under_36_kb_on_the_bundled_pair(reference_cds, subject_r248w):
+    # the bundled pair aligns on one diagonal with no fill, so the seed
+    # sets its peak. The word runs keep positions in int32 and drop each
+    # temporary once used: about 29.5 KB above entry at n = 1179, where
+    # holding several int64 arrays at once took 59.4 KB.
+    assert _one_diagonal(reference_cds, subject_r248w)
+    alignment._seed(reference_cds, subject_r248w, DNA_SCHEME)  # index the words
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        alignment._seed(reference_cds, subject_r248w, DNA_SCHEME)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 36 * 1024
+
+
 def _fill_scratch(a: Sequence, b: Sequence) -> tuple[int, int, int, bool]:
     """The tracemalloc peak from entry to exit of the one _fill_band call
     align_global makes, less the band it returns; with n, the band's
@@ -862,8 +976,8 @@ def _fill_scratch(a: Sequence, b: Sequence) -> tuple[int, int, int, bool]:
 
 @pytest.mark.parametrize("band", ["narrow", "wide"])
 def test_fill_scratch_stays_under_its_stated_limit(band: str, reference_cds):
-    # by diagonals: four float32 vectors of n + 1 (it keeps three, and
-    # the residue codes); by rows: the windows, one float32 per letter
+    # by diagonals: four int32 vectors of n + 1 (it keeps three, and
+    # the residue codes); by rows: the windows, one int32 per letter
     # (4 here) and per position along a row and a column, and the two
     # top rows. Each with 8 KB for small objects and numpy's buffers.
     a, b = (reference_cds, _planted_snvs(reference_cds, 5)) if band == "narrow" else (
@@ -890,31 +1004,31 @@ def test_cell_limit_admits_full_width_5000():
     assert (5000 + 1) * (5000 + 1 + 2) <= alignment.MAX_BAND_CELLS
 
 
-def test_scores_beyond_float32_range_raise_before_any_work():
-    huge = ScoringScheme(match=2**22, mismatch=-1, gap_open=-5, gap_extend=-1)
+def test_scores_beyond_the_int32_headroom_raise_before_any_work():
+    huge = ScoringScheme(match=2**27, mismatch=-1, gap_open=-5, gap_extend=-1)
     with mock.patch.object(alignment, "_seed") as seed, mock.patch.object(
         alignment, "_fill_band"
     ) as fill:
-        with pytest.raises(AlignmentTooLargeError, match="float32"):
+        with pytest.raises(AlignmentTooLargeError, match="int32"):
             align_global(dna("ACGT", "a"), dna("ACGT", "b"), huge)
     assert seed.call_count == fill.call_count == 0
-    # every score of a fill stays below 2**24 while 2 * (n + m) * 2**20 does
-    big = ScoringScheme(match=2**20, mismatch=-1, gap_open=-5, gap_extend=-1)
-    assert align_global(dna("ACGT", "a"), dna("ACG", "b"), big).score == 3 * 2**20 - 5
+    # every score of a fill stays below 2**29 while 2 * (n + m) * 2**25 does
+    big = ScoringScheme(match=2**25, mismatch=-1, gap_open=-5, gap_extend=-1)
+    assert align_global(dna("ACGT", "a"), dna("ACG", "b"), big).score == 3 * 2**25 - 5
     with pytest.raises(AlignmentTooLargeError):
         align_global(dna("ACGT", "a"), dna("ACGT", "b"), big)
 
 
 def test_exactness_bound_counts_the_cell_shift():
-    # with gap_open = gap_extend = -2**20 the shift term decides: every
-    # pair with n + m = 7 has 2 * (n + m) * largest = 14 * 2**20, and the
-    # (n + 1) // 2 extends of shift on top make 15 * 2**20 for (2, 5) and
-    # (1, 6), admitted, but 2**24 for (3, 4) and more for (5, 2)
-    steep = ScoringScheme(match=1, mismatch=-1, gap_open=-(2**20), gap_extend=-(2**20))
+    # with gap_open = gap_extend = -2**25 the shift term decides: every
+    # pair with n + m = 7 has 2 * (n + m) * largest = 14 * 2**25, and the
+    # (n + 1) // 2 extends of shift on top make 15 * 2**25 for (2, 5) and
+    # (1, 6), admitted, but 2**29 for (3, 4) and more for (5, 2)
+    steep = ScoringScheme(match=1, mismatch=-1, gap_open=-(2**25), gap_extend=-(2**25))
     _same_as_oracle(dna("AC", "a"), dna("GACTT", "b"), steep)
     _same_as_oracle(dna("T", "a"), dna("GACTTA", "b"), steep)
     for a, b in [("ACG", "GACT"), ("GACTT", "AC")]:
-        with pytest.raises(AlignmentTooLargeError, match="float32"):
+        with pytest.raises(AlignmentTooLargeError, match="int32"):
             align_global(dna(a, "a"), dna(b, "b"), steep)
 
 
