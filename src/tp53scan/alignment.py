@@ -60,9 +60,6 @@ _CHAIN_REACH = 64
 # Cells the traceback checks per numpy pass along a diagonal run.
 _RUN_CHUNK = 64
 
-# Rows a row fill with a floor runs between two checks of its row bound.
-_FLOOR_CHECK_ROWS = 32
-
 # A band of width w narrower than the matrix is filled by diagonals
 # when w * this <= n. At n = 1179 on a 2-core Xeon VM a column solve took
 # 28 us and a row of the row fill 3.0 us, so a column costs about 9 rows;
@@ -174,15 +171,14 @@ def _windows(
     return windows
 
 
-def _sweep_cap(n: int, m: int, slack: int, floor: int | None, scheme: ScoringScheme) -> int:
-    """Sweeps of _fill_diagonals that capture every path reaching the
-    target, for a band narrower than the matrix.
+def _sweep_cap(n: int, m: int, target: int, scheme: ScoringScheme) -> int:
+    """Sweeps of _fill_diagonals that capture every path reaching
+    ``target``, align_global's T, for a band narrower than the matrix.
 
-    The band's slack puts its exit bound below the target T, so T is at
-    least that bound plus one, and at least the ``floor``. A path with r
-    gap runs and G gap columns has (n + m - G) / 2 diagonal columns,
-    each scoring at most ``match``, and its runs cost r * (gap_open -
-    gap_extend) + G * gap_extend. So twice its score is at most
+    A path with r gap runs and G gap columns has (n + m - G) / 2
+    diagonal columns, each scoring at most ``match``, and its runs cost
+    r * (gap_open - gap_extend) + G * gap_extend. So twice its score is
+    at most
 
         2 * r * (gap_open - gap_extend) + (n + m - G) * match + 2 * G * gap_extend,
 
@@ -198,9 +194,6 @@ def _sweep_cap(n: int, m: int, slack: int, floor: int | None, scheme: ScoringSch
     g + 1 <= R + 1. Returns R + 1, at least 1: one sweep already
     reaches the end cell, by a row-0 Insert run or a final Delete run.
     """
-    target = _exit_bound(n, m, slack, scheme) + 1
-    if floor is not None:
-        target = max(target, floor)
 
     def doubled_bound(runs: int) -> int:
         fewest = max(runs, abs(n - m))
@@ -343,7 +336,7 @@ def _fill_diagonals(
 
 
 def _fill_band(
-    a: str, b: str, scheme: ScoringScheme, slack: int, floor: int | None = None
+    a: str, b: str, scheme: ScoringScheme, slack: int, target: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int] | None:
     """Fill the Gotoh score matrices on a band of diagonals only.
 
@@ -389,28 +382,17 @@ def _fill_band(
 
     A band narrower than the matrix whose width times _ROWS_PER_DIAGONAL
     is at most n is filled one diagonal at a time, in a few sweeps of
-    whole-diagonal numpy calls (_fill_diagonals, _sweep_cap). It runs no
-    floor check: it finishes, and align_global refuses a score below
-    the target. Every other band is filled row by row: a row takes 7
-    numpy calls, none with a ramp, and the rows are walked with zip over
-    row views while two top buffers take turns.
-
-    With a ``floor``, a row fill first bounds every alignment of the
-    pair by the matches a longest common subsequence allows
-    (_lcs_length, _match_bound) and returns None, before anything is
-    allocated, if that bound is below the floor. Then every
-    _FLOOR_CHECK_ROWS rows it bounds the best in-band path and returns
-    None once that bound is below the floor (Ukkonen 1985). Every path
-    crosses row i, at some cell (i, j)
-    of the band; it scores at most top(i, j) plus the best a suffix from
-    there can add. A suffix of k diagonal and g gap columns scores at
-    most k * match + g * gap_extend, with g = (n - i) + (m - j) - 2k, so
-    at most (n - i + m - j) * gap_extend + gain * min(n - i, m - j),
-    where gain = max(0, match - 2 * gap_extend). Added to the shifted
-    top, the extend term makes the constant (n + m + 1 - first) *
-    gap_extend. Columns with j > m hold no cell of the matrix and no
-    path crosses them: whatever they hold can only keep the test from
-    refusing.
+    whole-diagonal numpy calls (_fill_diagonals, _sweep_cap), which
+    need only capture the paths reaching ``target``, align_global's T.
+    Every other band is filled row by row: a row takes 7 numpy calls,
+    none with a ramp, and the rows are walked with zip over row views
+    while two top buffers take turns. A row fill first bounds every
+    alignment of the pair by the matches a longest common subsequence
+    allows (_lcs_length, _match_bound) and returns None, before
+    anything is allocated, if that bound is below ``target``; a target
+    the seed sets is a real alignment's score and is never refused.
+    Otherwise either fill runs to the end, and align_global refuses a
+    score below the target.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
@@ -427,7 +409,7 @@ def _fill_band(
         )
     by_diagonal = not whole and width * _ROWS_PER_DIAGONAL <= n
     if not by_diagonal:
-        if floor is not None and _match_bound(n, m, _lcs_length(a, b), scheme) < floor:
+        if _match_bound(n, m, _lcs_length(a, b), scheme) < target:
             return None
         windows = _windows(a, b, scheme, step, first, width)
     i32 = np.int32
@@ -437,7 +419,7 @@ def _fill_band(
     # M(0, 0) = 0, shifted, in storage column 1 - first
     mat_m[0, 1 - first] = -(1 - first) * scheme.gap_extend
     if by_diagonal:
-        sweeps = _sweep_cap(n, m, slack, floor, scheme)
+        sweeps = _sweep_cap(n, m, target, scheme)
         _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row)
         return mat_m, mat_x, y_row, step, first
 
@@ -463,14 +445,8 @@ def _fill_band(
     # windows[a[i-1]][i] for i = 1..n, without a Python-level step per row
     window_rows = map(getitem, map(windows.__getitem__, a), range(1, n + 1))
     add, maximum, running_max = np.add, np.maximum, np.maximum.accumulate
-    if floor is not None:
-        gain = max(0, scheme.match - 2 * scheme.gap_extend)
-        # the floor less the shifted score every suffix's extends come to
-        need = floor - (n + m + 1 - first) * scheme.gap_extend
-        # m - j for the cell at each position of row 0
-        b_left = m - first + 1 - np.arange(1, width + 1)
     rows = zip(window_rows, inner_m[1:], inner_x[1:], x_above, turns)
-    for i, (w, m_row, x_row, x_up, (t_diag, t_up, top, head)) in enumerate(rows, 1):
+    for w, m_row, x_row, x_up, (t_diag, t_up, top, head) in rows:
         add(t_diag, w, out=m_row)
         add(t_up, reopen, out=x_row)
         maximum(x_row, x_up, out=x_row)
@@ -478,10 +454,6 @@ def _fill_band(
         running_max(head, out=y_tail)
         add(y_tail, reopen, out=y_tail)
         maximum(top, y_row, out=top)
-        if floor is not None and i % _FLOOR_CHECK_ROWS == 0:
-            room = np.minimum(b_left - step * i, n - i)
-            if (top + gain * room).max() < need:
-                return None
     return mat_m, mat_x, y_row, step, first
 
 
@@ -656,7 +628,8 @@ def _match_bound(n: int, m: int, matches: int, scheme: ScoringScheme) -> int:
     for D from max(0, n - m) to n. That is linear in D on either side
     of D = n - matches, and its slope falls there, so the maximum sits
     at one of the three values tried. With matches = min(n, m) it is the
-    all-match bound of the row fill's check at row 0.
+    all-match bound (n + m) * gap_extend + max(0, match - 2 *
+    gap_extend) * min(n, m).
     """
     lift = scheme.match - scheme.mismatch
 
@@ -863,8 +836,8 @@ def align_global(
     and score are the ones the full matrix gives, with or without a
     floor. The diagonal fill holds exact values on every path reaching
     T (_sweep_cap), and the score and traceback read no other cell. A
-    band scoring below T, or a row fill refused part way (_fill_band),
-    holds no path that reaches T. When T is ``floor``,
+    band scoring below T, or a row fill refused before its first row
+    (_fill_band), holds no path that reaches T. When T is ``floor``,
     neither does the matrix, and the result is None, found before any
     traceback. When T is L, the seed path lies inside the band, so a
     band below it means the seed is wrong, and AssertionError is raised.
@@ -897,7 +870,7 @@ def align_global(
         codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
         same = int(np.count_nonzero(codes_a == codes_b))
         score = scheme.match * same + scheme.mismatch * (n - same)
-    elif (filled := _fill_band(a.residues, b.residues, scheme, slack, floor)) is not None:
+    elif (filled := _fill_band(a.residues, b.residues, scheme, slack, target)) is not None:
         mat_m, mat_x, y_last, step, first = filled
         end = m - step * n - first + 1  # the storage column of cell (n, m)
         ends = (mat_m.item(n, end), mat_x.item(n, end), y_last.item(end - 1))

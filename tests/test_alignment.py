@@ -435,38 +435,13 @@ def _assert_floor_law(a: Sequence, b: Sequence, scheme: ScoringScheme, floor: in
     b=st.text(alphabet="ACGTN", min_size=1, max_size=30),
     scheme=_schemes(),
     offset=st.integers(-6, 6),
-    check_rows=st.integers(1, 4),
 )
 def test_floor_refuses_exactly_the_pairs_below_it(
-    a: str, b: str, scheme: ScoringScheme, offset: int, check_rows: int
+    a: str, b: str, scheme: ScoringScheme, offset: int
 ):
-    # floors around the optimum, where refusing and aligning meet; the
-    # fill checks its row bound every 1-4 rows, so short pairs test it
+    # floors around the optimum, where refusing and aligning meet
     floor = oracle_full_alignment(a, b, scheme).score + offset
-    with mock.patch.object(alignment, "_FLOOR_CHECK_ROWS", check_rows):
-        _assert_floor_law(dna(a, "a"), dna(b, "b"), scheme, floor)
-
-
-@pytest.mark.parametrize("above", [50, 400])
-def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
-    # a floor above the optimum refuses the divergent pair inside the
-    # fill, not after it: 400 above the optimum (1628) is above the
-    # pair's LCS bound (1782), so no row runs; 50 above is not, and the
-    # row bound stops the fill before its last row
-    a, b = _divergent_pair()
-    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
-    fill, fills = alignment._fill_band, []
-
-    def recorded(*args):
-        fills.append(fill(*args))
-        return fills[-1]
-
-    with mock.patch.object(alignment, "_fill_band", recorded), mock.patch.object(
-        alignment, "_windows", wraps=alignment._windows
-    ) as windows:
-        assert align_global(a, b, DNA_SCHEME, floor=best + above) is None
-    assert fills == [None]
-    assert windows.call_count == (above == 50)
+    _assert_floor_law(dna(a, "a"), dna(b, "b"), scheme, floor)
 
 
 def _lcs_bound(a: str, b: str, scheme: ScoringScheme) -> int:
@@ -514,8 +489,8 @@ def _signed_schemes() -> st.SearchStrategy[ScoringScheme]:
 def test_lcs_bound_is_an_upper_bound(a: str, b: str, scheme: ScoringScheme):
     bound = _lcs_bound(a, b, scheme)
     assert bound >= oracle_full_alignment(a, b, scheme).score
-    # with every residue of the shorter sequence a match it is the row
-    # fill's all-match bound at row 0, so it is never looser than that
+    # with every residue of the shorter sequence a match it is the
+    # all-match bound, so it is never looser than that
     n, m = len(a), len(b)
     gain = max(0, scheme.match - 2 * scheme.gap_extend)
     everything = (n + m) * scheme.gap_extend + gain * min(n, m)
@@ -523,14 +498,31 @@ def test_lcs_bound_is_an_upper_bound(a: str, b: str, scheme: ScoringScheme):
 
 
 def test_lcs_bound_refuses_before_any_row():
-    # a divergent pair at a floor just above its LCS bound is refused
-    # with no window, band or row; at the bound itself the row fill runs
+    # a floored row fill is refused one of two ways. The divergent pair's
+    # optimum (1628) is below its LCS bound (1782): at a floor above the
+    # bound the fill returns None with no window, band or row; at the
+    # bound itself it runs to its last row, and align_global refuses the
+    # score below the floor with no traceback
     a, b = _divergent_pair()
     bound = _lcs_bound(a.residues, b.residues, DNA_SCHEME)
+    assert oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score < bound
+    fill, fills = alignment._fill_band, []
+
+    def recorded(*args):
+        fills.append(fill(*args))
+        return fills[-1]
+
     for floor, rows in ((bound + 1, False), (bound, True)):
-        with mock.patch.object(alignment, "_windows", wraps=alignment._windows) as windows:
+        fills.clear()
+        with mock.patch.object(alignment, "_fill_band", recorded), mock.patch.object(
+            alignment, "_windows", wraps=alignment._windows
+        ) as windows, mock.patch.object(
+            alignment, "_traceback", wraps=alignment._traceback
+        ) as traceback:
             assert align_global(a, b, DNA_SCHEME, floor=floor) is None
         assert windows.call_count == rows
+        assert [filled is not None for filled in fills] == [rows]
+        assert traceback.call_count == 0
 
 
 @pytest.mark.parametrize("pair", ["bundled", "divergent"])
@@ -666,12 +658,15 @@ def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringSc
     # cell of the matrix then holds its in-band optimum, as the row
     # fill's does, and every other cell a sentinel in both.
     # Slacks up to 8 are wider than these lengths ever send by diagonals.
+    # The target is the seed's score, a real alignment's, which the row
+    # fill's LCS bound never refuses.
     a, b, slack = case
+    target = alignment._seed(dna(a, "a"), dna(b, "b"), scheme).score
     with _by("rows"):
-        rows = alignment._fill_band(a, b, scheme, slack)
+        rows = alignment._fill_band(a, b, scheme, slack, target)
     uncapped = mock.patch.object(alignment, "_sweep_cap", return_value=len(a) + len(b) + 1)
     with _by("diagonals"), uncapped:
-        diagonals = alignment._fill_band(a, b, scheme, slack)
+        diagonals = alignment._fill_band(a, b, scheme, slack, target)
     _assert_same_cells(a, b, rows, diagonals)
 
 
@@ -880,7 +875,9 @@ def test_seed_puts_the_gap_at_the_best_split():
 
 def test_band_cells_take_8_bytes():
     n, m, slack = 30, 40, 3
-    mat_m, mat_x, y_last, _, _ = alignment._fill_band("A" * n, "C" * m, DNA_SCHEME, slack)
+    a, b = "A" * n, "C" * m
+    target = oracle_full_alignment(a, b, DNA_SCHEME).score  # never refused
+    mat_m, mat_x, y_last, _, _ = alignment._fill_band(a, b, DNA_SCHEME, slack, target)
     width = m - n + 2 * slack + 1
     assert mat_m.nbytes + mat_x.nbytes == 8 * (n + 1) * (width + 2)
     assert y_last.shape == (width,)
