@@ -444,6 +444,27 @@ def test_floor_refuses_exactly_the_pairs_below_it(
     _assert_floor_law(dna(a, "a"), dna(b, "b"), scheme, floor)
 
 
+@pytest.mark.parametrize("above", [400])
+def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
+    # a floor far above the optimum refuses the divergent pair inside the
+    # fill, not after it: 400 above the optimum (1628) is above the
+    # pair's LCS bound (1782), the bound on every row, so no row runs
+    a, b = _divergent_pair()
+    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
+    fill, fills = alignment._fill_band, []
+
+    def recorded(*args):
+        fills.append(fill(*args))
+        return fills[-1]
+
+    with mock.patch.object(alignment, "_fill_band", recorded), mock.patch.object(
+        alignment, "_windows", wraps=alignment._windows
+    ) as windows:
+        assert align_global(a, b, DNA_SCHEME, floor=best + above) is None
+    assert fills == [None]
+    assert windows.call_count == 0
+
+
 def _lcs_bound(a: str, b: str, scheme: ScoringScheme) -> int:
     return alignment._match_bound(len(a), len(b), oracle_lcs(a, b), scheme)
 
