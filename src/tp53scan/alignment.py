@@ -1,21 +1,25 @@
 """Global pairwise alignment with affine gap penalties.
 
 Exact three-state dynamic program (Gotoh). A gap run of length L costs
-``gap_open + (L - 1) * gap_extend``. Before any DP, exact word hits
-shared by the two sequences (BLAST-style seeds) are chained into a real
-global path; its score is a lower bound on the optimum. That bound fixes
-a band of diagonals that provably holds every optimal path (Fickett
+``gap_open + (L - 1) * gap_extend``. Before any DP, the score of a
+real global path gives a lower bound on the optimum. For sequences of
+equal length that path is the gapless one. A path chained from exact
+word hits shared by the two sequences (BLAST-style seeds) is scored
+when the lengths differ, or when the gapless bound leaves a band that
+is neither one diagonal nor filled by diagonals. That bound fixes a
+band of diagonals that provably holds every optimal path (Fickett
 1984; Ukkonen 1985), so the DP is filled once, on that band only:
 memory is O((n + m) * band width), two int32 matrices, 8 bytes per
 cell; a cell no path reaches holds a sentinel far below every score
 where a float fill would hold -inf. A band many times longer than it
 is wide is filled one diagonal at a time, in a few alternating sweeps
 of whole-diagonal numpy calls (after Farrar's striped fill, 2007); any
-other band row by row. A band of one diagonal needs no DP at all. A
-caller that only wants alignments scoring at least some floor (a
-ranking leader's score) passes it: the band then only has to hold
-paths that reach the target, the larger of the seed's score and the
-floor, and an alignment below the floor is refused before any
+other band row by row. A band of one diagonal needs no DP at all, and
+an equal-length pair whose optimum is the gapless score needs no
+traceback. A caller that only wants alignments scoring at least some
+floor (a ranking leader's score) passes it: the band then only has to
+hold paths that reach the target, the larger of the lower bound and
+the floor, and an alignment below the floor is refused before any
 traceback. A pair that could not reach the floor even with as many
 matches as its longest common subsequence (found bit-parallel, Allison
 & Dix 1986) is refused before a row fill allocates anything. The
@@ -390,9 +394,9 @@ def _fill_band(
     alignment of the pair by the matches a longest common subsequence
     allows (_lcs_length, _match_bound) and returns None, before
     anything is allocated, if that bound is below ``target``; a target
-    the seed sets is a real alignment's score and is never refused.
-    Otherwise either fill runs to the end, and align_global refuses a
-    score below the target.
+    align_global's lower bound sets is a real alignment's score and is
+    never refused. Otherwise either fill runs to the end, and
+    align_global refuses a score below the target.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
@@ -407,7 +411,7 @@ def _fill_band(
             f"a {n} x {m} alignment needs {cells} cells, "
             f"more than the limit of {MAX_BAND_CELLS}"
         )
-    by_diagonal = not whole and width * _ROWS_PER_DIAGONAL <= n
+    by_diagonal = _by_diagonals(n, m, slack)
     if not by_diagonal:
         if _match_bound(n, m, _lcs_length(a, b), scheme) < target:
             return None
@@ -575,6 +579,14 @@ def _covers_matrix(n: int, m: int, slack: int) -> bool:
     return abs(m - n) + 2 * slack >= m
 
 
+def _by_diagonals(n: int, m: int, slack: int) -> bool:
+    """True when _fill_band fills the band one diagonal at a time: it is
+    narrower than the matrix and its width times _ROWS_PER_DIAGONAL is
+    at most n."""
+    width = abs(m - n) + 2 * slack + 1
+    return not _covers_matrix(n, m, slack) and width * _ROWS_PER_DIAGONAL <= n
+
+
 def _slack_beating(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
     """Smallest slack whose band covers the matrix or whose exit bound
     lies below ``score``; the bound never rises as the slack grows."""
@@ -643,6 +655,16 @@ def _match_bound(n: int, m: int, matches: int, scheme: ScoringScheme) -> int:
 
     fewest = max(0, n - m)
     return max(map(bound, (fewest, max(fewest, n - matches), n)))
+
+
+def _gapless_score(a: str, b: str, scheme: ScoringScheme) -> int:
+    """Score of the gapless path of two equal-length sequences, the sum
+    of their pair scores: a real global path's, so a lower bound on the
+    optimum."""
+    codes_a = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    codes_b = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    same = int(np.count_nonzero(codes_a == codes_b))
+    return scheme.match * same + scheme.mismatch * (len(a) - same)
 
 
 class _Seed(NamedTuple):
@@ -828,8 +850,8 @@ def align_global(
     """Align two sequences end to end, maximizing the affine-gap score.
 
     The DP is filled once, on a band of diagonals around the corridor
-    from diagonal 0 to diagonal len(b) - len(a). A seed path built from
-    shared words (_seed) scores L, a lower bound on the optimum. The
+    from diagonal 0 to diagonal len(b) - len(a). It is sized from L, the
+    score of a real global path and so a lower bound on the optimum. The
     slack is the smallest whose exit bound lies below the target T =
     max(L, ``floor``): every path that leaves the band scores below T.
     So a band scoring at least T holds every optimal path, and rows, ops
@@ -839,13 +861,29 @@ def align_global(
     band scoring below T, or a row fill refused before its first row
     (_fill_band), holds no path that reaches T. When T is ``floor``,
     neither does the matrix, and the result is None, found before any
-    traceback. When T is L, the seed path lies inside the band, so a
-    band below it means the seed is wrong, and AssertionError is raised.
+    traceback. When T is L, the path L scores lies inside the band, so
+    a band below it means L is wrong, and AssertionError is raised.
 
-    A band of one diagonal (len(a) == len(b), slack 0) holds only the
-    gapless path, so that path is the in-band optimum: its rows are the
-    inputs and its score their summed pair scores, with no fill or
-    traceback.
+    When len(a) != len(b), L is the score of a seed path built from
+    shared words (_seed). When len(a) == len(b), L starts as G, the
+    gapless path's score (_gapless_score). The seed runs only when the
+    band sized from max(G, ``floor``) is neither one diagonal nor filled
+    by diagonals (_by_diagonals), which are cheap to fill as they
+    stand; then L = max(G, seed score). A band of one diagonal (slack
+    0) holds only the gapless path, so no fill runs: the band's score
+    is that path's, summed here from its pair scores apart from G, as a
+    fill's would be.
+
+    When len(a) == len(b) and the band scores exactly G, the rows are
+    the inputs, with no traceback: the traceback would walk diagonal 0
+    alone. Write P(i) for the gapless score of the first i rows. Either
+    fill holds at M(i, i) the score of some in-band path into it, and at
+    least P(i), since the gapless path reaches T. A path into M(i, i)
+    above P(i), followed by the gapless suffix, would be an in-band path
+    above G, so M(i, i) = P(i) at every i. At (n, n) M holds G and is
+    preferred over X and Y, and at each (i, i) the M above-left plus the
+    window score is M(i, i), so the M > X > Y walk stays in M on
+    diagonal 0 down to (0, 0).
 
     Raises:
         AlphabetMismatchError: if the sequences use different alphabets.
@@ -860,12 +898,21 @@ def align_global(
 
     n, m = len(a), len(b)
     _check_exact(n, m, scheme)
-    seed = _seed(a, b, scheme)
-    target = seed.score if floor is None else max(seed.score, floor)
-    slack = _slack_beating(n, m, target, scheme)
-    one_diagonal = n == m and slack == 0
+
+    def band(lower: int) -> tuple[int, int]:
+        """The target and slack a lower bound on the optimum gives."""
+        target = lower if floor is None else max(lower, floor)
+        return target, _slack_beating(n, m, target, scheme)
+
+    gapless = _gapless_score(a.residues, b.residues, scheme) if n == m else None
+    if gapless is not None:
+        target, slack = band(gapless)
+    if gapless is None or not (slack == 0 or _by_diagonals(n, m, slack)):
+        seeded = _seed(a, b, scheme).score
+        target, slack = band(seeded if gapless is None else max(gapless, seeded))
     score = None  # stays None when the fill is refused
-    if one_diagonal:
+    if gapless is not None and slack == 0:
+        # the one path's score, found apart from the bound G as a fill's is
         codes_a = np.frombuffer(a.residues.encode("ascii"), dtype=np.uint8)
         codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
         same = int(np.count_nonzero(codes_a == codes_b))
@@ -879,10 +926,10 @@ def align_global(
         if target == floor:
             return None
         raise AssertionError(
-            f"seeded band below its target: slack {slack}, target {target}, "
+            f"band below its target: slack {slack}, target {target}, "
             f"band score {score}"
         )
-    if one_diagonal:
+    if score == gapless:  # so n == m: the traceback would stay on diagonal 0
         return AlignmentResult(aligned_a=a.residues, aligned_b=b.residues, score=score)
     aligned_a, aligned_b = _traceback(
         a.residues, b.residues, scheme, mat_m, mat_x, ends, step, end

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import tracemalloc
@@ -23,11 +24,13 @@ from tp53scan.alignment import (
     identity_percent,
 )
 from tp53scan.codec import from_dict, to_dict
+from tp53scan.datafiles import bundled_refstore_path
 from tp53scan.errors import (
     AlignmentTooLargeError,
     AlphabetMismatchError,
     ReportFormatError,
 )
+from tp53scan.refstore import load_store
 from tp53scan.seqio import Alphabet, Sequence
 
 from support import (
@@ -392,11 +395,16 @@ def _divergent_pair() -> tuple[Sequence, Sequence]:
 
 
 def _one_diagonal(a: Sequence, b: Sequence, floor: int | None = None) -> bool:
-    """True when align_global's band is the single diagonal 0."""
+    """True when align_global's band is the single diagonal 0. That needs
+    n == m, and then the gapless score G alone decides: a path off
+    diagonal 0 scores at most the slack-0 exit bound, so a seed never
+    brings the slack to 0 where G does not."""
     n, m = len(a), len(b)
-    score = alignment._seed(a, b, DNA_SCHEME).score
+    if n != m:
+        return False
+    score = alignment._gapless_score(a.residues, b.residues, DNA_SCHEME)
     target = score if floor is None else max(score, floor)
-    return n == m and alignment._slack_beating(n, m, target, DNA_SCHEME) == 0
+    return alignment._slack_beating(n, m, target, DNA_SCHEME) == 0
 
 
 @pytest.mark.parametrize("pair", ["bundled", "divergent"])
@@ -550,14 +558,20 @@ def test_lcs_bound_refuses_before_any_row():
 def test_seed_above_the_optimum_raises_unless_the_floor_sets_the_target(
     pair: str, reference_cds, subject_r248w
 ):
-    # a seed is a lower bound: one scoring above the optimum sizes a band
-    # that no path fills to its score. With the seed as the target, on
-    # the one-diagonal path (bundled) and the fill (divergent) alike,
-    # that is a fault; with a floor at or above it, a refusal.
+    # the lower bound is a real path's score: the gapless one for the
+    # equal-length bundled pair, the seed's for the divergent pair. One
+    # scoring above the optimum sizes a band that no path fills to its
+    # score. With the bound as the target, on the one-diagonal path
+    # (bundled) and the fill (divergent) alike, that is a fault; with a
+    # floor at or above it, a refusal.
     a, b = (reference_cds, subject_r248w) if pair == "bundled" else _divergent_pair()
     best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
-    wrong = alignment._seed(a, b, DNA_SCHEME)._replace(score=best + 1)
-    with mock.patch.object(alignment, "_seed", return_value=wrong):
+    if pair == "bundled":
+        wrong = mock.patch.object(alignment, "_gapless_score", return_value=best + 1)
+    else:
+        seed = alignment._seed(a, b, DNA_SCHEME)._replace(score=best + 1)
+        wrong = mock.patch.object(alignment, "_seed", return_value=seed)
+    with wrong:
         assert _one_diagonal(a, b) is (pair == "bundled")
         for floor in (None, best - 50, best):
             with pytest.raises(AssertionError, match="below its target"):
@@ -574,15 +588,36 @@ def test_floor_law_on_near_diagonal_pairs(pair: tuple[str, str], offset: int):
     _assert_floor_law(dna(a, "a"), dna(b, "b"), DNA_SCHEME, floor)
 
 
+def _substituted(base: str, count: int, rng: random.Random) -> str:
+    """``base`` with ``count`` substitutions at distinct positions."""
+    other = list(base)
+    for pos in rng.sample(range(len(base)), count):
+        other[pos] = rng.choice("ACGT".replace(other[pos], ""))
+    return "".join(other)
+
+
 @st.composite
 def _equal_length_pairs(draw) -> tuple[str, str]:
     """A 100-400 nt sequence and a copy with 0-3 substitutions."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    base = rng.choices("ACGT", k=draw(st.integers(100, 400)))
-    other = list(base)
-    for pos in rng.sample(range(len(base)), draw(st.integers(0, 3))):
-        other[pos] = rng.choice("ACGT".replace(other[pos], ""))
-    return "".join(base), "".join(other)
+    base = "".join(rng.choices("ACGT", k=draw(st.integers(100, 400))))
+    return base, _substituted(base, draw(st.integers(0, 3)), rng)
+
+
+@functools.cache
+def _bundled_reference() -> str:
+    store = load_store(bundled_refstore_path())
+    return next(e.sequence.residues for e in store.entries if e.source == "ncbi-export")
+
+
+@st.composite
+def _bundled_snv_pairs(draw) -> tuple[str, str]:
+    """The bundled 1179 nt reference and a copy with 0-24 substitutions.
+    From 4 of them the gapless score's band is wider than one diagonal,
+    and from 15 too wide to fill by diagonals."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = _bundled_reference()
+    return base, _substituted(base, draw(st.integers(0, 24)), rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -602,6 +637,56 @@ def test_one_diagonal_band_runs_no_fill(pair: tuple[str, str], offset: int | Non
             want.aligned_b,
             want.score,
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=_equal_length_pairs() | _bundled_snv_pairs(),
+    offset=st.none() | st.integers(-20, 20),
+)
+def test_equal_length_pairs_start_from_the_gapless_score(
+    pair: tuple[str, str], offset: int | None
+):
+    # the gapless score G is the first lower bound. The seed runs only
+    # where G's band is neither one diagonal nor filled by diagonals, and
+    # where the optimum is G no traceback runs and the rows are the inputs
+    a, b = dna(pair[0], "a"), dna(pair[1], "b")
+    n = len(a)
+    want = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME)
+    floor = None if offset is None else want.score + offset
+    gapless = alignment._gapless_score(a.residues, b.residues, DNA_SCHEME)
+    target = gapless if floor is None else max(gapless, floor)
+    slack = alignment._slack_beating(n, n, target, DNA_SCHEME)
+    cheap = slack == 0 or alignment._by_diagonals(n, n, slack)
+    with mock.patch.object(
+        alignment, "_seed", wraps=alignment._seed
+    ) as seed, mock.patch.object(
+        alignment, "_traceback", wraps=alignment._traceback
+    ) as traceback:
+        got = align_global(a, b, DNA_SCHEME, floor=floor)
+    assert seed.call_count == (0 if cheap else 1)
+    if want.score == gapless:
+        assert traceback.call_count == 0
+        assert got is None or (got.aligned_a, got.aligned_b) == (a.residues, b.residues)
+    if floor is None:
+        _assert_oracle_alignment(got, a.residues, b.residues)
+    else:
+        _assert_floor_law(a, b, DNA_SCHEME, floor)
+
+
+@pytest.mark.parametrize("pair", ["bundled", "divergent"])
+def test_only_a_seed_indexes_the_words(pair: str, reference_cds, subject_r248w):
+    # the bundled pair, one substitution apart, has n == m and a gapless
+    # band of one diagonal: no seed runs, and a fresh subject's words are
+    # never indexed. The divergent pair differs in length and seeds once.
+    if pair == "bundled":
+        a, b = reference_cds, dna(subject_r248w.residues, "fresh")
+    else:
+        a, b = _divergent_pair()
+    with mock.patch.object(alignment, "_seed", wraps=alignment._seed) as seed:
+        align_global(a, b, DNA_SCHEME)
+    assert seed.call_count == (pair == "divergent")
+    assert ("unique_words" in b.__dict__) is (pair == "divergent")
 
 
 # --- the fill by diagonals against the fill by rows
@@ -731,8 +816,12 @@ def _alternating_indels(count: int) -> tuple[str, str]:
 def test_alternating_indels_take_every_sweep_the_cap_allows(count: int):
     # each indel is a gap run turning the path's direction, so the
     # optimal path needs all R + 1 sweeps the cap allows: the fill stops
-    # at the cap, not by finding nothing moved, and is still exact
+    # at the cap, not by finding nothing moved, and is still exact. The
+    # seed's score, passed as the floor, sets the target and so the cap:
+    # an even count leaves n == m, where a band filled by diagonals is
+    # sized from the gapless score alone, far below the seed's
     a, b = _alternating_indels(count)
+    seeded = alignment._seed(dna(a, "a"), dna(b, "b"), DNA_SCHEME).score
     fill, sweeps = alignment._fill_diagonals, []
 
     def recorded(*args):
@@ -740,7 +829,7 @@ def test_alternating_indels_take_every_sweep_the_cap_allows(count: int):
         return sweeps[-1][1]
 
     with _by("diagonals"), mock.patch.object(alignment, "_fill_diagonals", recorded):
-        got = align_global(dna(a, "a"), dna(b, "b"), DNA_SCHEME)
+        got = align_global(dna(a, "a"), dna(b, "b"), DNA_SCHEME, floor=seeded)
     assert sweeps == [(count + 1, count + 1)]
     gap_runs = sum(op in (AlignOp.INSERT, AlignOp.DELETE) for op, _ in got.ops)
     assert gap_runs == count
@@ -751,11 +840,7 @@ def test_alternating_indels_take_every_sweep_the_cap_allows(count: int):
 
 
 def _planted_snvs(reference: Sequence, count: int) -> Sequence:
-    rng = random.Random(count)
-    residues = list(reference.residues)
-    for pos in rng.sample(range(len(residues)), count):
-        residues[pos] = rng.choice("ACGT".replace(residues[pos], ""))
-    return dna("".join(residues), "snv")
+    return dna(_substituted(reference.residues, count, random.Random(count)), "snv")
 
 
 @pytest.mark.parametrize("pair", ["4 snvs", "5 snvs", "divergent"])
@@ -919,12 +1004,13 @@ def test_band_memory_is_linear_in_length(reference_cds, subject_r248w):
 
 def test_alignment_needs_under_40_kb_beyond_its_band(store, subject_r248w):
     # on cds_snv most of the gated peak memory is a ranking alignment:
-    # the band itself, plus what the seed, fill, traceback and ops
-    # allocate. The ebi entry's band is 7 diagonals wide; the ncbi entry
-    # aligns on one diagonal, with no band to measure against.
+    # the band itself, plus what the fill and ops allocate; the pair's
+    # optimum is its gapless score, so no seed or traceback runs. The
+    # ebi entry's band is 7 diagonals wide; the ncbi entry aligns on one
+    # diagonal, with no band to measure against.
     ebi = next(e.sequence for e in store.entries if e.source == "ebi-export")
     assert not _one_diagonal(ebi, subject_r248w)
-    align_global(ebi, subject_r248w, DNA_SCHEME)  # index the words
+    align_global(ebi, subject_r248w, DNA_SCHEME)  # warm up
     fill, band = alignment._fill_band, []
 
     def measured(*args):
@@ -944,10 +1030,12 @@ def test_alignment_needs_under_40_kb_beyond_its_band(store, subject_r248w):
 
 
 def test_seed_needs_under_36_kb_on_the_bundled_pair(reference_cds, subject_r248w):
-    # the bundled pair aligns on one diagonal with no fill, so the seed
-    # sets its peak. The word runs keep positions in int32 and drop each
-    # temporary once used: about 29.5 KB above entry at n = 1179, where
-    # holding several int64 arrays at once took 59.4 KB.
+    # the seed runs on pairs of unequal length and on equal-length pairs
+    # whose gapless band is wide. The bundled pair aligns on one diagonal
+    # with no seed, so the seed is measured here by itself. The word runs
+    # keep positions in int32 and drop each temporary once used: about
+    # 29.5 KB above entry at n = 1179, where holding several int64
+    # arrays at once took 59.4 KB.
     assert _one_diagonal(reference_cds, subject_r248w)
     alignment._seed(reference_cds, subject_r248w, DNA_SCHEME)  # index the words
     tracemalloc.start()
@@ -958,6 +1046,24 @@ def test_seed_needs_under_36_kb_on_the_bundled_pair(reference_cds, subject_r248w
     finally:
         tracemalloc.stop()
     assert peak - before < 36 * 1024
+
+
+def test_equal_length_alignment_needs_under_32_kb_on_the_bundled_pair(
+    reference_cds, subject_r248w
+):
+    # with no seed, fill or traceback, what is left is the gapless score,
+    # the one diagonal's score and the ops pass: about 20 KB above entry
+    # at n = 1179 with a fresh subject, where seeding it first, its word
+    # index included, took 59.2 KB
+    subject = dna(subject_r248w.residues, "fresh")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        align_global(reference_cds, subject, DNA_SCHEME)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 32 * 1024
 
 
 def _fill_scratch(a: Sequence, b: Sequence) -> tuple[int, int, int, bool]:
