@@ -40,12 +40,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
         "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    where = f"{tree}: {workload} seed {seed}"
     if done.returncode != 0:
-        raise SystemExit(f"{tree}: {workload} seed {seed}: exit {done.returncode}\n{done.stderr}")
-    result = json.loads(done.stdout.splitlines()[-1])
-    if result["correct"] is not True:
-        raise SystemExit(f"{tree}: {workload} seed {seed}: an oracle failed\n{done.stderr}")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+        raise SystemExit(f"{where}: exit {done.returncode}\n{done.stderr}")
+    try:
+        result = json.loads(done.stdout.splitlines()[-1])
+        correct = result["correct"]
+        metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        raise SystemExit(
+            f"{where}: the last line printed is not a JSON result\n{done.stderr}"
+        ) from None
+    if correct is not True:
+        raise SystemExit(f"{where}: an oracle failed\n{done.stderr}")
+    return metrics
 
 
 def summary(values: list[float]) -> dict:

@@ -6,27 +6,30 @@ real global path gives a lower bound on the optimum. For sequences of
 equal length that path is the gapless one. A path chained from exact
 word hits shared by the two sequences (BLAST-style seeds) is scored
 when the lengths differ, or when the gapless bound leaves a band that
-is neither one diagonal nor filled by diagonals. That bound fixes a
-band of diagonals that provably holds every optimal path (Fickett
-1984; Ukkonen 1985), so the DP is filled once, on that band only:
-memory is O((n + m) * band width), two int32 matrices, 8 bytes per
-cell; a cell no path reaches holds a sentinel far below every score
-where a float fill would hold -inf. A band many times longer than it
-is wide is filled one diagonal at a time, in a few alternating sweeps
-of whole-diagonal numpy calls (after Farrar's striped fill, 2007); any
-other band row by row. A band of one diagonal needs no DP at all, and
-an equal-length pair whose optimum is the gapless score needs no
-traceback. A caller that only wants alignments scoring at least some
-floor (a ranking leader's score) passes it: the band then only has to
-hold paths that reach the target, the larger of the lower bound and
-the floor, and an alignment below the floor is refused before any
-traceback. A pair that could not reach the floor even with as many
-matches as its longest common subsequence (found bit-parallel, Allison
-& Dix 1986) is refused before a row fill allocates anything. The
-traceback reads the cells as the fill stored them, checks diagonal
-runs a chunk at a time and steps through gap runs cell by cell. It is
-deterministic: at every choice point Match/Mismatch is preferred over
-Delete, and Delete over Insert.
+is neither one diagonal nor filled by diagonals. One upper bound on a
+path's score, every diagonal column at most a match and every gap
+column at least one extend, is read three ways: set against the lower
+bound it fixes a band of diagonals that provably holds every optimal
+path (Fickett 1984; Ukkonen 1985), caps the sweeps of the fill by
+diagonals, and refuses a floored pair. So the DP is filled once, on
+that band only: memory is O((n + m) * band width), two int32 matrices,
+8 bytes per cell; a cell no path reaches holds a sentinel far below
+every score where a float fill would hold -inf. A band many times
+longer than it is wide is filled one diagonal at a time, in a few
+alternating sweeps of whole-diagonal numpy calls (after Farrar's
+striped fill, 2007); any other band row by row. A band of one diagonal
+needs no DP at all, and an equal-length pair whose optimum is the
+gapless score needs no traceback. A caller that only wants alignments
+scoring at least some floor (a ranking leader's score) passes it: the
+band then only has to hold paths that reach the target, the larger of
+the lower bound and the floor, and an alignment below the floor is
+refused before any traceback. A pair that could not reach the floor
+even with as many matches as its longest common subsequence (found
+bit-parallel, Allison & Dix 1986) is refused before a row fill
+allocates anything. The traceback reads the cells as the fill stored
+them, checks diagonal runs a chunk at a time and steps through gap
+runs cell by cell. It is deterministic: at every choice point
+Match/Mismatch is preferred over Delete, and Delete over Insert.
 
 Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
 Insert consumes a residue of ``b`` (gap in ``a``).
@@ -175,47 +178,6 @@ def _windows(
     return windows
 
 
-def _sweep_cap(n: int, m: int, target: int, scheme: ScoringScheme) -> int:
-    """Sweeps of _fill_diagonals that capture every path reaching
-    ``target``, align_global's T, for a band narrower than the matrix.
-
-    A path with r gap runs and G gap columns has (n + m - G) / 2
-    diagonal columns, each scoring at most ``match``, and its runs cost
-    r * (gap_open - gap_extend) + G * gap_extend. So twice its score is
-    at most
-
-        2 * r * (gap_open - gap_extend) + (n + m - G) * match + 2 * G * gap_extend,
-
-    linear in G over max(r, |n - m|) <= G <= n + m, so largest at an
-    end; the bound never rises with r. A path reaching T has at most R
-    runs, the largest r whose bound is at least 2 * T.
-
-    A sweep takes in whole Delete runs (right to left, the odd sweeps)
-    or whole Insert runs (left to right), any number of them between
-    diagonal stretches. So a path whose runs fall into g groups of one
-    direction each is in the values after g sweeps, or g + 1 when its
-    first group is Insert runs that do not start at (0, 0), and
-    g + 1 <= R + 1. Returns R + 1, at least 1: one sweep already
-    reaches the end cell, by a row-0 Insert run or a final Delete run.
-    """
-
-    def doubled_bound(runs: int) -> int:
-        fewest = max(runs, abs(n - m))
-        return 2 * runs * (scheme.gap_open - scheme.gap_extend) + max(
-            (n + m - gaps) * scheme.match + 2 * gaps * scheme.gap_extend
-            for gaps in (fewest, n + m)
-        )
-
-    lo, hi = 0, n + m  # the largest runs in lo..hi whose bound reaches T
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if doubled_bound(mid) >= 2 * target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 1
-
-
 def _fill_diagonals(
     a: str,
     b: str,
@@ -252,10 +214,20 @@ def _fill_diagonals(
     score of a real in-band path and none falls. A right-to-left sweep
     moves no top value when X - C nowhere exceeds A as it stood: then X
     holds, and Y held after the sweep before, whose tops stand, so the
-    recurrences all hold and the fill stops. It stops after ``sweeps``
-    at the latest (_sweep_cap), when every path reaching the target is
-    in: a cell on no such path may still hold less than its optimum,
-    which the traceback never tells apart.
+    recurrences all hold and the fill stops.
+
+    A sweep takes in whole Delete runs (right to left, the odd sweeps)
+    or whole Insert runs (left to right), any number of them between
+    diagonal stretches: each sweep takes in one more change of gap
+    direction. So a path whose runs fall into g groups of one direction
+    each is in the values after g sweeps, or g + 1 when its first group
+    is Insert runs that do not start at (0, 0); a path of r gap runs
+    needs at most r + 1. One sweep already reaches the end cell, by a
+    row-0 Insert run or a final Delete run. The fill stops after
+    ``sweeps`` at the latest, which _fill_band sets to R + 1 for R the
+    most gap runs a path reaching the target can have: every such path
+    is then in, and a cell on no such path may still hold less than its
+    optimum, which the traceback never tells apart.
 
     Scratch is three int32 vectors of n + 1 and the residue codes. The
     running maximum's inputs other - C stay inside int32: see
@@ -386,17 +358,22 @@ def _fill_band(
 
     A band narrower than the matrix whose width times _ROWS_PER_DIAGONAL
     is at most n is filled one diagonal at a time, in a few sweeps of
-    whole-diagonal numpy calls (_fill_diagonals, _sweep_cap), which
-    need only capture the paths reaching ``target``, align_global's T.
-    Every other band is filled row by row: a row takes 7 numpy calls,
-    none with a ramp, and the rows are walked with zip over row views
-    while two top buffers take turns. A row fill first bounds every
-    alignment of the pair by the matches a longest common subsequence
-    allows (_lcs_length, _match_bound) and returns None, before
-    anything is allocated, if that bound is below ``target``; a target
-    align_global's lower bound sets is a real alignment's score and is
-    never refused. Otherwise either fill runs to the end, and
-    align_global refuses a score below the target.
+    whole-diagonal numpy calls (_fill_diagonals), which need only
+    capture the paths reaching ``target``, align_global's T. Those paths
+    have at most R gap runs: _match_bound with every residue of the
+    shorter sequence a match, U, charges each gap column one extend, so
+    a path of r runs scores at most U + r * (gap_open - gap_extend), and
+    R is the largest r for which that reaches T (when gap_open ==
+    gap_extend every r does, and R is n + m, as many runs as a path can
+    have). The fill runs at most R + 1 sweeps. Every other band is filled row by row: a
+    row takes 7 numpy calls, none with a ramp, and the rows are walked
+    with zip over row views while two top buffers take turns. A row fill
+    first bounds every alignment of the pair by the matches a longest
+    common subsequence allows (_lcs_length, _match_bound) and returns
+    None, before anything is allocated, if that bound is below
+    ``target``; a target align_global's lower bound sets is a real
+    alignment's score and is never refused. Otherwise either fill runs
+    to the end, and align_global refuses a score below the target.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
@@ -423,8 +400,10 @@ def _fill_band(
     # M(0, 0) = 0, shifted, in storage column 1 - first
     mat_m[0, 1 - first] = -(1 - first) * scheme.gap_extend
     if by_diagonal:
-        sweeps = _sweep_cap(n, m, target, scheme)
-        _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row)
+        premium = scheme.gap_extend - scheme.gap_open
+        beyond = max(0, _match_bound(n, m, min(n, m), scheme) - target)
+        runs = beyond // premium if premium else n + m
+        _fill_diagonals(a, b, scheme, first, runs + 1, mat_m, mat_x, y_row)
         return mat_m, mat_x, y_row, step, first
 
     # a 0-d array: ufuncs take it faster than a numpy scalar
@@ -552,28 +531,6 @@ def _traceback(
     return "".join(cols_a), "".join(cols_b)
 
 
-def _exit_bound(n: int, m: int, slack: int, scheme: ScoringScheme) -> int:
-    """Upper bound on the score of any path that leaves a band narrower
-    than the matrix.
-
-    The band spans diagonals min(0, m-n) - slack .. max(0, m-n) + slack.
-    A path that leaves it on either side makes at least
-    D = max(0, n-m) + slack + 1 Delete columns and D + m - n Insert
-    columns, both kinds at least once, and at most n - D diagonal
-    columns, each scoring at most ``match``. The bound is linear in D,
-    so its maximum over D..n sits at an end.
-    """
-
-    def bound(deletes: int) -> int:
-        return (
-            scheme.match * (n - deletes)
-            + 2 * scheme.gap_open
-            + (2 * deletes + m - n - 2) * scheme.gap_extend
-        )
-
-    return max(bound(max(0, n - m) + slack + 1), bound(n))
-
-
 def _covers_matrix(n: int, m: int, slack: int) -> bool:
     """True when the band is at least as wide as the matrix."""
     return abs(m - n) + 2 * slack >= m
@@ -588,16 +545,37 @@ def _by_diagonals(n: int, m: int, slack: int) -> bool:
 
 
 def _slack_beating(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
-    """Smallest slack whose band covers the matrix or whose exit bound
-    lies below ``score``; the bound never rises as the slack grows."""
-    lo, hi = 0, max(0, m - abs(m - n) + 1) // 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _covers_matrix(n, m, mid) or _exit_bound(n, m, mid, scheme) < score:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Smallest slack whose band covers the matrix or holds every path
+    scoring at least ``score``.
+
+    The band of slack s spans diagonals min(0, m-n) - s .. max(0, m-n)
+    + s, and covers the matrix from s = cover on. A path that leaves it
+    on either side makes at least D = max(0, n-m) + s + 1 Delete columns
+    and D + m - n Insert columns, both kinds at least once, so it pays
+    two opens on top of _match_bound's extends and scores at most
+
+        E(D) = 2 * (gap_open - gap_extend) + _match_bound(n, m, n, deletes=D),
+
+    which is max(F(D), F(n)) for F linear in D with slope 2 * gap_extend
+    - match. So E never rises as s grows, and never falls below E(n).
+    Where E(first), at s = 0, reaches ``score`` but E(n) does not, F
+    falls, and the slack is the smallest s with F(first + s) below
+    ``score``, solved in closed form.
+    """
+    cover = max(0, m - abs(m - n) + 1) // 2
+    first = max(0, n - m) + 1
+
+    def exit_bound(deletes: int) -> int:
+        return 2 * (scheme.gap_open - scheme.gap_extend) + _match_bound(
+            n, m, n, scheme, deletes
+        )
+
+    if exit_bound(n) >= score:
+        return cover
+    widest = exit_bound(first)
+    if widest < score:
+        return 0
+    return min(cover, (widest - score) // (scheme.match - 2 * scheme.gap_extend) + 1)
 
 
 def _lcs_length(a: str, b: str) -> int:
@@ -625,9 +603,12 @@ def _lcs_length(a: str, b: str) -> int:
     return m - (v & full).bit_count()
 
 
-def _match_bound(n: int, m: int, matches: int, scheme: ScoringScheme) -> int:
+def _match_bound(
+    n: int, m: int, matches: int, scheme: ScoringScheme, deletes: int = 0
+) -> int:
     """Upper bound on the score of any global alignment of n residues
-    against m with at most ``matches`` Match columns.
+    against m with at most ``matches`` Match columns and at least
+    ``deletes`` Delete columns.
 
     An alignment with D Delete columns has n - D diagonal columns, of
     which at most min(matches, n - D) match, and D + m - n Insert
@@ -637,23 +618,26 @@ def _match_bound(n: int, m: int, matches: int, scheme: ScoringScheme) -> int:
         (match - mismatch) * min(matches, n - D) + mismatch * (n - D)
             + gap_extend * (2 * D + m - n),
 
-    for D from max(0, n - m) to n. That is linear in D on either side
-    of D = n - matches, and its slope falls there, so the maximum sits
-    at one of the three values tried. With matches = min(n, m) it is the
+    for D from max(deletes, n - m, 0) to n. That is linear in D on
+    either side of D = n - matches, and its slope falls there, so the
+    maximum sits at one of the three values tried. This is the one
+    bound on a path's score that sizes the band (_slack_beating), caps
+    the diagonal fill's sweeps and refuses a row fill (_fill_band).
+    With matches = min(n, m) and no lower limit on D it is the
     all-match bound (n + m) * gap_extend + max(0, match - 2 *
     gap_extend) * min(n, m).
     """
     lift = scheme.match - scheme.mismatch
 
-    def bound(deletes: int) -> int:
-        diagonal = n - deletes
+    def bound(dels: int) -> int:
+        diagonal = n - dels
         return (
             lift * min(matches, diagonal)
             + scheme.mismatch * diagonal
-            + scheme.gap_extend * (2 * deletes + m - n)
+            + scheme.gap_extend * (2 * dels + m - n)
         )
 
-    fewest = max(0, n - m)
+    fewest = max(deletes, n - m, 0)
     return max(map(bound, (fewest, max(fewest, n - matches), n)))
 
 
@@ -852,12 +836,13 @@ def align_global(
     The DP is filled once, on a band of diagonals around the corridor
     from diagonal 0 to diagonal len(b) - len(a). It is sized from L, the
     score of a real global path and so a lower bound on the optimum. The
-    slack is the smallest whose exit bound lies below the target T =
-    max(L, ``floor``): every path that leaves the band scores below T.
-    So a band scoring at least T holds every optimal path, and rows, ops
-    and score are the ones the full matrix gives, with or without a
-    floor. The diagonal fill holds exact values on every path reaching
-    T (_sweep_cap), and the score and traceback read no other cell. A
+    slack is the smallest for which _match_bound puts every path that
+    leaves the band below the target T = max(L, ``floor``)
+    (_slack_beating). So a band scoring at least T holds every optimal
+    path, and rows, ops and score are the ones the full matrix gives,
+    with or without a floor. The diagonal fill holds exact values on
+    every path reaching T, its sweeps capped by the same bound
+    (_fill_band), and the score and traceback read no other cell. A
     band scoring below T, or a row fill refused before its first row
     (_fill_band), holds no path that reaches T. When T is ``floor``,
     neither does the matrix, and the result is None, found before any

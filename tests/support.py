@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: one
 alignment oracle enumerates every monotone alignment path, the other
 fills the whole Gotoh matrix (the aligner the banded one replaced), the
-LCS oracle is the textbook quadratic table, the ranking oracle aligns every store entry on that full matrix, the ops
+LCS oracle is the textbook quadratic table, the slack oracle tries
+every slack in turn against the exit bound written out on its own, the
+ranking oracle aligns every store entry on that full matrix, the ops
 and calling oracles read gapped rows one column at a time, the loader
 oracle builds one record per row, and the query oracle is a plain
 linear scan with its own normalization.
@@ -70,6 +72,33 @@ def oracle_lcs(a: str, b: str) -> int:
         for j, y in enumerate(b, 1):
             diagonal, row[j] = row[j], diagonal + 1 if x == y else max(row[j], row[j - 1])
     return row[-1]
+
+
+def oracle_off_band_bound(n: int, m: int, slack: int, scheme: ScoringScheme) -> int:
+    """Upper bound on the score of a path that leaves the band of
+    ``slack`` (diagonals min(0, m-n) - slack .. max(0, m-n) + slack),
+    written out on its own: such a path makes D >= max(0, n-m) + slack
+    + 1 Delete columns, D + m - n Insert columns, two opens and at most
+    n - D diagonal columns, each at most a match. Linear in D, so its
+    maximum over D..n is at an end."""
+
+    def bound(deletes: int) -> int:
+        return (
+            scheme.match * (n - deletes)
+            + 2 * scheme.gap_open
+            + (2 * deletes + m - n - 2) * scheme.gap_extend
+        )
+
+    return max(bound(max(0, n - m) + slack + 1), bound(n))
+
+
+def oracle_slack(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
+    """Smallest slack whose band covers the matrix or whose exit bound
+    lies below ``score``, by trying every slack from 0 up."""
+    slack = 0
+    while abs(m - n) + 2 * slack < m and oracle_off_band_bound(n, m, slack, scheme) >= score:
+        slack += 1
+    return slack
 
 
 def _fill_matrices(

@@ -39,6 +39,8 @@ from support import (
     oracle_column_ops,
     oracle_full_alignment,
     oracle_lcs,
+    oracle_off_band_bound,
+    oracle_slack,
     rescore_alignment,
 )
 
@@ -526,6 +528,36 @@ def test_lcs_bound_is_an_upper_bound(a: str, b: str, scheme: ScoringScheme):
     assert bound <= alignment._match_bound(n, m, min(n, m), scheme) == everything
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    m=st.integers(1, 80),
+    scheme=_signed_schemes(),
+    anchor=st.sampled_from(["slack 0", "all deletes", "slack"]),
+    slack=st.integers(0, 40),
+    offset=st.integers(-2, 2),
+)
+# the bundled pair's lengths, one substitution apart, and schemes whose
+# match is not positive or whose gaps cost only extends
+@example(n=1179, m=1179, scheme=DNA_SCHEME, anchor="slack 0", slack=0, offset=9)
+@example(n=7, m=5, scheme=ScoringScheme(0, -2, -1, -1), anchor="slack", slack=1, offset=0)
+@example(n=4, m=9, scheme=ScoringScheme(-1, -3, 0, 0), anchor="all deletes", slack=0, offset=1)
+def test_slack_is_the_scan_over_every_slack(
+    n: int, m: int, scheme: ScoringScheme, anchor: str, slack: int, offset: int
+):
+    # the closed form against a scan over every slack. Targets sit next
+    # to where its branches turn: the exit bound at slack 0 (below it no
+    # slack is needed), the bound of a path that deletes all of a (at or
+    # below it the band must cover the matrix) and the bound at some
+    # slack between, where the arithmetic must land on the scan's slack
+    score = offset + {
+        "slack 0": oracle_off_band_bound(n, m, 0, scheme),
+        "all deletes": 2 * scheme.gap_open + (n + m - 2) * scheme.gap_extend,
+        "slack": oracle_off_band_bound(n, m, slack, scheme),
+    }[anchor]
+    assert alignment._slack_beating(n, m, score, scheme) == oracle_slack(n, m, score, scheme)
+
+
 def test_lcs_bound_refuses_before_any_row():
     # a floored row fill is refused one of two ways. The divergent pair's
     # optimum (1628) is below its LCS bound (1782): at a floor above the
@@ -764,15 +796,23 @@ def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringSc
     # cell of the matrix then holds its in-band optimum, as the row
     # fill's does, and every other cell a sentinel in both.
     # Slacks up to 8 are wider than these lengths ever send by diagonals.
-    # The target is the seed's score, a real alignment's, which the row
-    # fill's LCS bound never refuses.
+    # The row fill's target is the seed's score, a real alignment's,
+    # which its LCS bound never refuses. The diagonal fill's target lies
+    # below every score a path can have, so its cap is more sweeps than
+    # a path has gap runs and never stops the fill.
     a, b, slack = case
     target = alignment._seed(dna(a, "a"), dna(b, "b"), scheme).score
     with _by("rows"):
         rows = alignment._fill_band(a, b, scheme, slack, target)
-    uncapped = mock.patch.object(alignment, "_sweep_cap", return_value=len(a) + len(b) + 1)
-    with _by("diagonals"), uncapped:
-        diagonals = alignment._fill_band(a, b, scheme, slack, target)
+    fill, caps = alignment._fill_diagonals, []
+
+    def recorded(*args):
+        caps.append(args[4])
+        return fill(*args)
+
+    with _by("diagonals"), mock.patch.object(alignment, "_fill_diagonals", recorded):
+        diagonals = alignment._fill_band(a, b, scheme, slack, -alignment._HEADROOM)
+    assert len(caps) == 1 and caps[0] > len(a) + len(b)
     _assert_same_cells(a, b, rows, diagonals)
 
 
@@ -815,11 +855,13 @@ def _alternating_indels(count: int) -> tuple[str, str]:
 @pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
 def test_alternating_indels_take_every_sweep_the_cap_allows(count: int):
     # each indel is a gap run turning the path's direction, so the
-    # optimal path needs all R + 1 sweeps the cap allows: the fill stops
-    # at the cap, not by finding nothing moved, and is still exact. The
-    # seed's score, passed as the floor, sets the target and so the cap:
-    # an even count leaves n == m, where a band filled by diagonals is
-    # sized from the gapless score alone, far below the seed's
+    # optimal path needs a sweep for each and one more: the fill runs
+    # at least count + 1 sweeps and at most the cap. Up to 5 indels it
+    # stops at the cap, not by finding nothing moved, and is still
+    # exact. The seed's score, passed as the floor, sets the target and
+    # so the cap: an even count leaves n == m, where a band filled by
+    # diagonals is sized from the gapless score alone, far below the
+    # seed's
     a, b = _alternating_indels(count)
     seeded = alignment._seed(dna(a, "a"), dna(b, "b"), DNA_SCHEME).score
     fill, sweeps = alignment._fill_diagonals, []
@@ -830,7 +872,10 @@ def test_alternating_indels_take_every_sweep_the_cap_allows(count: int):
 
     with _by("diagonals"), mock.patch.object(alignment, "_fill_diagonals", recorded):
         got = align_global(dna(a, "a"), dna(b, "b"), DNA_SCHEME, floor=seeded)
-    assert sweeps == [(count + 1, count + 1)]
+    [(cap, ran)] = sweeps
+    assert count + 1 <= ran <= cap
+    if count <= 5:
+        assert ran == cap
     gap_runs = sum(op in (AlignOp.INSERT, AlignOp.DELETE) for op, _ in got.ops)
     assert gap_runs == count
     _assert_oracle_alignment(got, a, b)

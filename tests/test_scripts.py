@@ -116,3 +116,28 @@ def test_bench_pairs_alternates_and_counts_the_pairs_won(tmp_path: Path):
     assert (row["better_in"], row["pairs"], row["bound"]) == (4, 4, 0.25)
     assert row["parent"]["median"] == 101.5
     assert rows[workloads[0], "latency_p95_ms"]["better_in"] == 0
+
+
+@pytest.mark.parametrize(
+    "output",
+    ["", "done\n", '{"metrics": {}}\n', "[1, 2]\n", '{"correct": true}\n'],
+    ids=["nothing", "not JSON", "no correct", "not an object", "no metrics"],
+)
+def test_bench_pairs_names_the_run_whose_output_is_not_a_result(tmp_path: Path, output: str):
+    # a run that exits 0 without a JSON result on its last line stops the
+    # script with the tree, workload and seed, not a traceback
+    order = tmp_path / "order"
+    parent = _stub_tree(tmp_path / "parent", 100.0, order)
+    change = tmp_path / "change"
+    (change / "bench").mkdir(parents=True)
+    (change / "bench" / "run.py").write_text(
+        f"import sys\nsys.stdout.write({output!r})\n", encoding="utf-8"
+    )
+    done = run_script(
+        "bench_pairs.py", str(parent), str(change), str(tmp_path / "BENCH_test.json"),
+        "--seeds", "3", "--pairs", "2", "--seconds", "0",
+    )
+    workload = _benchmark()["workloads"][0]["name"]
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"{change}: {workload} seed 3: the last line printed is not a JSON result" in done.stderr
