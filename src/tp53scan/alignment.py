@@ -224,8 +224,8 @@ def _fill_diagonals(
     is Insert runs that do not start at (0, 0); a path of r gap runs
     needs at most r + 1. One sweep already reaches the end cell, by a
     row-0 Insert run or a final Delete run. The fill stops after
-    ``sweeps`` at the latest, which _fill_band sets to R + 1 for R the
-    most gap runs a path reaching the target can have: every such path
+    ``sweeps`` at the latest, which align_global sets to R + 1 for R the
+    most gap runs a path reaching its target can have: every such path
     is then in, and a cell on no such path may still hold less than its
     optimum, which the traceback never tells apart.
 
@@ -312,8 +312,8 @@ def _fill_diagonals(
 
 
 def _fill_band(
-    a: str, b: str, scheme: ScoringScheme, slack: int, target: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int] | None:
+    a: str, b: str, scheme: ScoringScheme, slack: int, sweeps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fill the Gotoh score matrices on a band of diagonals only.
 
     The band spans diagonals lo = min(0, m-n) - slack to
@@ -357,41 +357,19 @@ def _fill_band(
     extending it, so top can stand in for max(M, Y) in X.
 
     A band narrower than the matrix whose width times _ROWS_PER_DIAGONAL
-    is at most n is filled one diagonal at a time, in a few sweeps of
-    whole-diagonal numpy calls (_fill_diagonals), which need only
-    capture the paths reaching ``target``, align_global's T. Those paths
-    have at most R gap runs: _match_bound with every residue of the
-    shorter sequence a match, U, charges each gap column one extend, so
-    a path of r runs scores at most U + r * (gap_open - gap_extend), and
-    R is the largest r for which that reaches T (when gap_open ==
-    gap_extend every r does, and R is n + m, as many runs as a path can
-    have). The fill runs at most R + 1 sweeps. Every other band is filled row by row: a
-    row takes 7 numpy calls, none with a ramp, and the rows are walked
-    with zip over row views while two top buffers take turns. A row fill
-    first bounds every alignment of the pair by the matches a longest
-    common subsequence allows (_lcs_length, _match_bound) and returns
-    None, before anything is allocated, if that bound is below
-    ``target``; a target align_global's lower bound sets is a real
-    alignment's score and is never refused. Otherwise either fill runs
-    to the end, and align_global refuses a score below the target.
+    is at most n is filled one diagonal at a time, in at most ``sweeps``
+    sweeps of whole-diagonal numpy calls (_fill_diagonals). Every other
+    band is filled row by row: a row takes 7 numpy calls, none with a
+    ramp, and the rows are walked with zip over row views while two top
+    buffers take turns.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
     """
     n, m = len(a), len(b)
-    lo, hi = min(0, m - n) - slack, max(0, m - n) + slack
-    whole = _covers_matrix(n, m, slack)
-    step, first, width = (0, 0, m + 1) if whole else (1, lo, hi - lo + 1)
-    cells = (n + 1) * (width + 2)
-    if cells > MAX_BAND_CELLS:
-        raise AlignmentTooLargeError(
-            f"a {n} x {m} alignment needs {cells} cells, "
-            f"more than the limit of {MAX_BAND_CELLS}"
-        )
+    step, first, width = _band_shape(n, m, slack)
     by_diagonal = _by_diagonals(n, m, slack)
     if not by_diagonal:
-        if _match_bound(n, m, _lcs_length(a, b), scheme) < target:
-            return None
         windows = _windows(a, b, scheme, step, first, width)
     i32 = np.int32
     mat_m = np.full((n + 1, width + 2), _UNREACHED, dtype=i32)
@@ -400,10 +378,7 @@ def _fill_band(
     # M(0, 0) = 0, shifted, in storage column 1 - first
     mat_m[0, 1 - first] = -(1 - first) * scheme.gap_extend
     if by_diagonal:
-        premium = scheme.gap_extend - scheme.gap_open
-        beyond = max(0, _match_bound(n, m, min(n, m), scheme) - target)
-        runs = beyond // premium if premium else n + m
-        _fill_diagonals(a, b, scheme, first, runs + 1, mat_m, mat_x, y_row)
+        _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row)
         return mat_m, mat_x, y_row, step, first
 
     # a 0-d array: ufuncs take it faster than a numpy scalar
@@ -531,6 +506,21 @@ def _traceback(
     return "".join(cols_a), "".join(cols_b)
 
 
+def _band_shape(n: int, m: int, slack: int) -> tuple[int, int, int]:
+    """The step, first diagonal and width _fill_band stores the band
+    with; raises AlignmentTooLargeError past MAX_BAND_CELLS cells."""
+    lo, hi = min(0, m - n) - slack, max(0, m - n) + slack
+    whole = _covers_matrix(n, m, slack)
+    step, first, width = (0, 0, m + 1) if whole else (1, lo, hi - lo + 1)
+    cells = (n + 1) * (width + 2)
+    if cells > MAX_BAND_CELLS:
+        raise AlignmentTooLargeError(
+            f"a {n} x {m} alignment needs {cells} cells, "
+            f"more than the limit of {MAX_BAND_CELLS}"
+        )
+    return step, first, width
+
+
 def _covers_matrix(n: int, m: int, slack: int) -> bool:
     """True when the band is at least as wide as the matrix."""
     return abs(m - n) + 2 * slack >= m
@@ -622,7 +612,7 @@ def _match_bound(
     either side of D = n - matches, and its slope falls there, so the
     maximum sits at one of the three values tried. This is the one
     bound on a path's score that sizes the band (_slack_beating), caps
-    the diagonal fill's sweeps and refuses a row fill (_fill_band).
+    the diagonal fill's sweeps and refuses a row fill (align_global).
     With matches = min(n, m) and no lower limit on D it is the
     all-match bound (n + m) * gap_extend + max(0, match - 2 *
     gap_extend) * min(n, m).
@@ -840,14 +830,21 @@ def align_global(
     leaves the band below the target T = max(L, ``floor``)
     (_slack_beating). So a band scoring at least T holds every optimal
     path, and rows, ops and score are the ones the full matrix gives,
-    with or without a floor. The diagonal fill holds exact values on
-    every path reaching T, its sweeps capped by the same bound
-    (_fill_band), and the score and traceback read no other cell. A
-    band scoring below T, or a row fill refused before its first row
-    (_fill_band), holds no path that reaches T. When T is ``floor``,
-    neither does the matrix, and the result is None, found before any
-    traceback. When T is L, the path L scores lies inside the band, so
-    a band below it means L is wrong, and AssertionError is raised.
+    with or without a floor. The fill by diagonals holds exact values
+    on every path reaching T, and the score and traceback read no other
+    cell. _match_bound with every residue of the shorter sequence a
+    match, U, charges each gap column one extend, so a path of r gap
+    runs scores at most U + r * (gap_open - gap_extend): a path reaching
+    T has at most R runs, the largest r for which that reaches T (n + m
+    when gap_open == gap_extend), and the fill runs at most R + 1 sweeps
+    (_fill_diagonals). A band scoring below T holds no path that reaches
+    T. When T is ``floor``, neither does the matrix, and the result is
+    None, found before any traceback, or, for a band filled by rows,
+    before anything is allocated when _match_bound with as many matches
+    as a longest common subsequence (_lcs_length) is below T; the cell
+    limit is checked first. When T is L, the path L scores lies inside
+    the band, so a band below it means L is wrong, and AssertionError is
+    raised; L never exceeds the LCS bound, which is not computed then.
 
     When len(a) != len(b), L is the score of a seed path built from
     shared words (_seed). When len(a) == len(b), L starts as G, the
@@ -855,9 +852,8 @@ def align_global(
     band sized from max(G, ``floor``) is neither one diagonal nor filled
     by diagonals (_by_diagonals), which are cheap to fill as they
     stand; then L = max(G, seed score). A band of one diagonal (slack
-    0) holds only the gapless path, so no fill runs: the band's score
-    is that path's, summed here from its pair scores apart from G, as a
-    fill's would be.
+    0) holds only the gapless path, so no fill runs and the band scores
+    G.
 
     When len(a) == len(b) and the band scores exactly G, the rows are
     the inputs, with no traceback: the traceback would walk diagonal 0
@@ -895,19 +891,22 @@ def align_global(
     if gapless is None or not (slack == 0 or _by_diagonals(n, m, slack)):
         seeded = _seed(a, b, scheme).score
         target, slack = band(seeded if gapless is None else max(gapless, seeded))
-    score = None  # stays None when the fill is refused
     if gapless is not None and slack == 0:
-        # the one path's score, found apart from the bound G as a fill's is
-        codes_a = np.frombuffer(a.residues.encode("ascii"), dtype=np.uint8)
-        codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
-        same = int(np.count_nonzero(codes_a == codes_b))
-        score = scheme.match * same + scheme.mismatch * (n - same)
-    elif (filled := _fill_band(a.residues, b.residues, scheme, slack, target)) is not None:
+        score = gapless  # the band's one path is the gapless one
+    else:
+        if target == floor and not _by_diagonals(n, m, slack):
+            _band_shape(n, m, slack)  # an oversized band raises first
+            if _match_bound(n, m, _lcs_length(a.residues, b.residues), scheme) < target:
+                return None
+        premium = scheme.gap_extend - scheme.gap_open
+        beyond = max(0, _match_bound(n, m, min(n, m), scheme) - target)
+        sweeps = (beyond // premium if premium else n + m) + 1
+        filled = _fill_band(a.residues, b.residues, scheme, slack, sweeps)
         mat_m, mat_x, y_last, step, first = filled
         end = m - step * n - first + 1  # the storage column of cell (n, m)
         ends = (mat_m.item(n, end), mat_x.item(n, end), y_last.item(end - 1))
         score = int(max(ends)) + (n + m + 1 - first) * scheme.gap_extend
-    if score is None or score < target:
+    if score < target:
         if target == floor:
             return None
         raise AssertionError(

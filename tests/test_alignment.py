@@ -454,27 +454,6 @@ def test_floor_refuses_exactly_the_pairs_below_it(
     _assert_floor_law(dna(a, "a"), dna(b, "b"), scheme, floor)
 
 
-@pytest.mark.parametrize("above", [400])
-def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
-    # a floor far above the optimum refuses the divergent pair inside the
-    # fill, not after it: 400 above the optimum (1628) is above the
-    # pair's LCS bound (1782), the bound on every row, so no row runs
-    a, b = _divergent_pair()
-    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
-    fill, fills = alignment._fill_band, []
-
-    def recorded(*args):
-        fills.append(fill(*args))
-        return fills[-1]
-
-    with mock.patch.object(alignment, "_fill_band", recorded), mock.patch.object(
-        alignment, "_windows", wraps=alignment._windows
-    ) as windows:
-        assert align_global(a, b, DNA_SCHEME, floor=best + above) is None
-    assert fills == [None]
-    assert windows.call_count == 0
-
-
 def _lcs_bound(a: str, b: str, scheme: ScoringScheme) -> int:
     return alignment._match_bound(len(a), len(b), oracle_lcs(a, b), scheme)
 
@@ -561,50 +540,59 @@ def test_slack_is_the_scan_over_every_slack(
 def test_lcs_bound_refuses_before_any_row():
     # a floored row fill is refused one of two ways. The divergent pair's
     # optimum (1628) is below its LCS bound (1782): at a floor above the
-    # bound the fill returns None with no window, band or row; at the
-    # bound itself it runs to its last row, and align_global refuses the
-    # score below the floor with no traceback
+    # bound (1 above it, or 400 above the optimum) align_global refuses
+    # the pair on the bound with no fill, window or traceback; at the
+    # bound itself the fill runs to its last row, and align_global
+    # refuses the score below the floor with no traceback
     a, b = _divergent_pair()
+    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
     bound = _lcs_bound(a.residues, b.residues, DNA_SCHEME)
-    assert oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score < bound
-    fill, fills = alignment._fill_band, []
-
-    def recorded(*args):
-        fills.append(fill(*args))
-        return fills[-1]
-
-    for floor, rows in ((bound + 1, False), (bound, True)):
-        fills.clear()
-        with mock.patch.object(alignment, "_fill_band", recorded), mock.patch.object(
+    assert best < bound < best + 400
+    for floor, rows in ((best + 400, False), (bound + 1, False), (bound, True)):
+        with mock.patch.object(
+            alignment, "_lcs_length", wraps=alignment._lcs_length
+        ) as lcs, mock.patch.object(
+            alignment, "_fill_band", wraps=alignment._fill_band
+        ) as fill, mock.patch.object(
             alignment, "_windows", wraps=alignment._windows
         ) as windows, mock.patch.object(
             alignment, "_traceback", wraps=alignment._traceback
         ) as traceback:
             assert align_global(a, b, DNA_SCHEME, floor=floor) is None
-        assert windows.call_count == rows
-        assert [filled is not None for filled in fills] == [rows]
+        assert lcs.call_count == 1
+        assert fill.call_count == windows.call_count == rows
         assert traceback.call_count == 0
 
 
-@pytest.mark.parametrize("pair", ["bundled", "divergent"])
-def test_seed_above_the_optimum_raises_unless_the_floor_sets_the_target(
-    pair: str, reference_cds, subject_r248w
-):
-    # the lower bound is a real path's score: the gapless one for the
-    # equal-length bundled pair, the seed's for the divergent pair. One
-    # scoring above the optimum sizes a band that no path fills to its
-    # score. With the bound as the target, on the one-diagonal path
-    # (bundled) and the fill (divergent) alike, that is a fault; with a
-    # floor at or above it, a refusal.
-    a, b = (reference_cds, subject_r248w) if pair == "bundled" else _divergent_pair()
+def test_a_target_the_lower_bound_sets_computes_no_lcs():
+    # the seed's score is a real alignment's, which the LCS bound never
+    # refuses: with no floor, or a floor below that score, the target is
+    # the seed's and the divergent pair's row fill runs with no LCS. (At
+    # a floor equal to it the floor is the target, and the bound is
+    # computed, as for any floored row fill.)
+    a, b = _divergent_pair()
+    seeded = alignment._seed(a, b, DNA_SCHEME).score
+    for floor in (None, seeded - 1, seeded - 200):
+        with mock.patch.object(
+            alignment, "_lcs_length", wraps=alignment._lcs_length
+        ) as lcs, mock.patch.object(
+            alignment, "_fill_band", wraps=alignment._fill_band
+        ) as fill:
+            got = align_global(a, b, DNA_SCHEME, floor=floor)
+        assert lcs.call_count == 0
+        assert fill.call_count == 1
+        _assert_oracle_alignment(got, a.residues, b.residues)
+
+
+def test_seed_above_the_optimum_raises_unless_the_floor_sets_the_target():
+    # the seed's score is a real path's, a lower bound on the divergent
+    # pair's optimum. One scoring above the optimum sizes a band that no
+    # path fills to its score. With the seed's score as the target that
+    # is a fault; with a floor at or above it, a refusal.
+    a, b = _divergent_pair()
     best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
-    if pair == "bundled":
-        wrong = mock.patch.object(alignment, "_gapless_score", return_value=best + 1)
-    else:
-        seed = alignment._seed(a, b, DNA_SCHEME)._replace(score=best + 1)
-        wrong = mock.patch.object(alignment, "_seed", return_value=seed)
-    with wrong:
-        assert _one_diagonal(a, b) is (pair == "bundled")
+    seed = alignment._seed(a, b, DNA_SCHEME)._replace(score=best + 1)
+    with mock.patch.object(alignment, "_seed", return_value=seed):
         for floor in (None, best - 50, best):
             with pytest.raises(AssertionError, match="below its target"):
                 align_global(a, b, DNA_SCHEME, floor=floor)
@@ -796,14 +784,12 @@ def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringSc
     # cell of the matrix then holds its in-band optimum, as the row
     # fill's does, and every other cell a sentinel in both.
     # Slacks up to 8 are wider than these lengths ever send by diagonals.
-    # The row fill's target is the seed's score, a real alignment's,
-    # which its LCS bound never refuses. The diagonal fill's target lies
-    # below every score a path can have, so its cap is more sweeps than
-    # a path has gap runs and never stops the fill.
+    # The cap is more sweeps than a path has gap runs, so it never stops
+    # the fill; the row fill ignores it.
     a, b, slack = case
-    target = alignment._seed(dna(a, "a"), dna(b, "b"), scheme).score
+    sweeps = len(a) + len(b) + 1
     with _by("rows"):
-        rows = alignment._fill_band(a, b, scheme, slack, target)
+        rows = alignment._fill_band(a, b, scheme, slack, sweeps)
     fill, caps = alignment._fill_diagonals, []
 
     def recorded(*args):
@@ -811,8 +797,8 @@ def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringSc
         return fill(*args)
 
     with _by("diagonals"), mock.patch.object(alignment, "_fill_diagonals", recorded):
-        diagonals = alignment._fill_band(a, b, scheme, slack, -alignment._HEADROOM)
-    assert len(caps) == 1 and caps[0] > len(a) + len(b)
+        diagonals = alignment._fill_band(a, b, scheme, slack, sweeps)
+    assert caps == [sweeps]
     _assert_same_cells(a, b, rows, diagonals)
 
 
@@ -1027,8 +1013,7 @@ def test_seed_puts_the_gap_at_the_best_split():
 def test_band_cells_take_8_bytes():
     n, m, slack = 30, 40, 3
     a, b = "A" * n, "C" * m
-    target = oracle_full_alignment(a, b, DNA_SCHEME).score  # never refused
-    mat_m, mat_x, y_last, _, _ = alignment._fill_band(a, b, DNA_SCHEME, slack, target)
+    mat_m, mat_x, y_last, _, _ = alignment._fill_band(a, b, DNA_SCHEME, slack, sweeps=1)
     width = m - n + 2 * slack + 1
     assert mat_m.nbytes + mat_x.nbytes == 8 * (n + 1) * (width + 2)
     assert y_last.shape == (width,)
@@ -1167,6 +1152,19 @@ def test_oversized_band_raises_named_error(monkeypatch):
         align_global(dna("ACGT" * 100, "a"), dna("TGCA" * 100, "b"), DNA_SCHEME)
     # a band that fits still aligns
     assert align_global(dna("ACGT", "a"), dna("ACGT", "b"), DNA_SCHEME).score == 8
+
+
+def test_oversized_band_raises_before_the_lcs_refusal(monkeypatch):
+    # the cell limit is checked before the LCS bound could refuse a pair
+    # floored above it, so the pair raises and no LCS is computed
+    monkeypatch.setattr(alignment, "MAX_BAND_CELLS", 1000)
+    a, b = _divergent_pair()
+    floor = _lcs_bound(a.residues, b.residues, DNA_SCHEME) + 1
+    with mock.patch.object(
+        alignment, "_lcs_length", wraps=alignment._lcs_length
+    ) as lcs, pytest.raises(AlignmentTooLargeError):
+        align_global(a, b, DNA_SCHEME, floor=floor)
+    assert lcs.call_count == 0
 
 
 def test_cell_limit_admits_full_width_5000():
