@@ -454,6 +454,24 @@ def test_floor_refuses_exactly_the_pairs_below_it(
     _assert_floor_law(dna(a, "a"), dna(b, "b"), scheme, floor)
 
 
+@pytest.mark.parametrize("above", [400])
+def test_fill_stops_once_its_row_bound_is_below_the_floor(above: int):
+    # a floor far above the optimum refuses the divergent pair before the
+    # fill: 400 above the optimum (1628) is above the pair's LCS bound
+    # (1782), the bound on every row, so align_global runs no fill, no
+    # window and no row
+    a, b = _divergent_pair()
+    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
+    with mock.patch.object(
+        alignment, "_fill_band", wraps=alignment._fill_band
+    ) as fill, mock.patch.object(
+        alignment, "_windows", wraps=alignment._windows
+    ) as windows:
+        assert align_global(a, b, DNA_SCHEME, floor=best + above) is None
+    assert fill.call_count == 0
+    assert windows.call_count == 0
+
+
 def _lcs_bound(a: str, b: str, scheme: ScoringScheme) -> int:
     return alignment._match_bound(len(a), len(b), oracle_lcs(a, b), scheme)
 
@@ -540,15 +558,14 @@ def test_slack_is_the_scan_over_every_slack(
 def test_lcs_bound_refuses_before_any_row():
     # a floored row fill is refused one of two ways. The divergent pair's
     # optimum (1628) is below its LCS bound (1782): at a floor above the
-    # bound (1 above it, or 400 above the optimum) align_global refuses
-    # the pair on the bound with no fill, window or traceback; at the
-    # bound itself the fill runs to its last row, and align_global
-    # refuses the score below the floor with no traceback
+    # bound align_global refuses the pair on the bound with no fill,
+    # window or traceback; at the bound itself the fill runs to its last
+    # row, and align_global refuses the score below the floor with no
+    # traceback
     a, b = _divergent_pair()
-    best = oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score
     bound = _lcs_bound(a.residues, b.residues, DNA_SCHEME)
-    assert best < bound < best + 400
-    for floor, rows in ((best + 400, False), (bound + 1, False), (bound, True)):
+    assert oracle_full_alignment(a.residues, b.residues, DNA_SCHEME).score < bound
+    for floor, rows in ((bound + 1, False), (bound, True)):
         with mock.patch.object(
             alignment, "_lcs_length", wraps=alignment._lcs_length
         ) as lcs, mock.patch.object(
