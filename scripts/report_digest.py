@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over every report of the benchmark's predict workloads.
+"""Print SHA-256 digests of the reports of the benchmark's predict workloads.
 
-    python3 scripts/report_digest.py          # print the digest
+    python3 scripts/report_digest.py          # print the digests
     python3 scripts/report_digest.py --check  # compare with report_digest.sha256
 
 Each ``cds_snv`` and ``divergent_indel`` request at seeds 1 and 2 runs
@@ -10,6 +10,10 @@ the ``predict --output json`` path: ``parse_fasta`` -> ``predict`` ->
 dropped because it reads the clock. The texts of the
 ``WtCodonMismatchWarning``s a request raises are hashed with its
 report, sorted, so the digest also pins the warnings as a multiset.
+Beside that overall digest, each (workload, seed) part gets its own,
+over the same texts, so a failing check names the parts whose reports
+changed. The digest file holds one ``<hex>  <part>`` line each, the
+overall one first as ``all``.
 
 The inputs come from the generators in ``bench/workloads.py``, written
 into a temporary directory. A change that must not alter any report
@@ -46,11 +50,14 @@ WORKLOADS = ("cds_snv", "divergent_indel")
 SEEDS = (1, 2)
 
 
-def digest() -> str:
+def digests() -> dict[str, str]:
+    """The overall digest as ``all``, then one per ``workload/seed``."""
     sha = hashlib.sha256()
+    parts = {}
     data_dir = ROOT / "src" / "tp53scan" / "data"
     for name in WORKLOADS:
         for seed in SEEDS:
+            part = parts[f"{name}/{seed}"] = hashlib.sha256()
             with tempfile.TemporaryDirectory() as tmp:
                 inputs = workloads.GENERATORS[name](seed, data_dir, Path(tmp))
                 store, db = load_store(inputs.store_dir), load_db(inputs.db_path)
@@ -62,13 +69,14 @@ def digest() -> str:
                         report = predict(store, db, subject, workloads.GENE)
                     payload = report_to_dict(report)
                     del payload["generated_at"]
-                    sha.update(json.dumps(payload, indent=2).encode("ascii"))
                     texts = sorted(
                         str(w.message) for w in caught
                         if issubclass(w.category, WtCodonMismatchWarning)
                     )
-                    sha.update(json.dumps(texts).encode("ascii"))
-    return sha.hexdigest()
+                    for chunk in (json.dumps(payload, indent=2), json.dumps(texts)):
+                        sha.update(chunk.encode("ascii"))
+                        part.update(chunk.encode("ascii"))
+    return {"all": sha.hexdigest(), **{k: v.hexdigest() for k, v in parts.items()}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,13 +86,16 @@ def main(argv: list[str] | None = None) -> int:
         help=f"compare with {DIGEST_PATH.name} instead of printing only",
     )
     args = parser.parse_args(argv)
-    found = digest()
-    print(found)
+    found = digests()
+    for part, hexdigest in found.items():
+        print(f"{hexdigest}  {part}")
     if not args.check:
         return 0
-    want = DIGEST_PATH.read_text(encoding="ascii").strip()
-    if found != want:
-        print(f"reports differ: {DIGEST_PATH.name} holds {want}", file=sys.stderr)
+    lines = DIGEST_PATH.read_text(encoding="ascii").splitlines()
+    want = {part: hexdigest for hexdigest, part in map(str.split, lines)}
+    differ = [part for part in {**want, **found} if found.get(part) != want.get(part)]
+    if differ:
+        print(f"reports differ from {DIGEST_PATH.name} in: {', '.join(differ)}", file=sys.stderr)
         return 1
     print("reports match the committed digest")
     return 0

@@ -1,43 +1,32 @@
 """Global pairwise alignment with affine gap penalties.
 
-Exact three-state dynamic program (Gotoh). A gap run of length L costs
-``gap_open + (L - 1) * gap_extend``. Before any DP, the score of a
-real global path gives a lower bound on the optimum. For sequences of
-equal length that path is the gapless one. A path chained from exact
-word hits shared by the two sequences (BLAST-style seeds) is scored
-when the lengths differ, or when the gapless bound leaves a band that
-is neither one diagonal nor filled by diagonals. One upper bound on a
-path's score, every diagonal column at most a match and every gap
-column at least one extend, is read three ways: set against the lower
-bound it fixes a band of diagonals that provably holds every optimal
-path (Fickett 1984; Ukkonen 1985), caps the sweeps of the fill by
-diagonals, and refuses a floored pair. So the DP is filled once, on
-that band only: memory is O((n + m) * band width), two int32 matrices,
-8 bytes per cell; a cell no path reaches holds a sentinel far below
-every score where a float fill would hold -inf. A band many times
-longer than it is wide is filled one diagonal at a time, in a few
-alternating sweeps of whole-diagonal numpy calls (after Farrar's
-striped fill, 2007); any other band row by row. A band of one diagonal
-needs no DP at all, and an equal-length pair whose optimum is the
-gapless score needs no traceback. A caller that only wants alignments
-scoring at least some floor (a ranking leader's score) passes it: the
-band then only has to hold paths that reach the target, the larger of
-the lower bound and the floor, and an alignment below the floor is
-refused before any traceback. A pair that could not reach the floor
-even with as many matches as its longest common subsequence (found
-bit-parallel, Allison & Dix 1986) is refused before a row fill
-allocates anything. The traceback reads the cells as the fill stored
-them, checks diagonal runs a chunk at a time and steps through gap
-runs cell by cell. It is deterministic: at every choice point
-Match/Mismatch is preferred over Delete, and Delete over Insert.
+An exact three-state dynamic program (Gotoh). A gap run of length L
+costs ``gap_open + (L - 1) * gap_extend``. Delete consumes a residue of
+``a`` (gap in ``b``), Insert a residue of ``b`` (gap in ``a``). Each
+rule is stated once, in the docstring of the function that owns it:
 
-Column conventions: Delete consumes a residue of ``a`` (gap in ``b``),
-Insert consumes a residue of ``b`` (gap in ``a``).
+- ``align_global``: the lower bound and target a band is sized from,
+  the refusal below a floor, and the pairs that need no fill or no
+  traceback.
+- ``_match_bound``: the one upper bound on a path's score.
+- ``_slack_beating``: the exit bound, which sizes the band of
+  diagonals (Fickett 1984; Ukkonen 1985).
+- ``_fill_band``: the shifted cells, the storage layout and the fill
+  by rows.
+- ``_fill_diagonals``: the fill by diagonals (after Farrar 2007) and
+  its sweep cap.
+- ``_traceback``: the walk back, with Match/Mismatch preferred over
+  Delete and Delete over Insert at every choice.
+- ``_check_exact``: the int32 headroom and the sentinel of cells no
+  path reaches.
+- ``_lcs_length`` and ``_seed``: the longest common subsequence
+  (Allison & Dix 1986) and the path chained from shared words
+  (BLAST-style).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import cycle
 from operator import getitem
@@ -64,9 +53,6 @@ _HEADROOM = 2**29
 # Runs a word-hit run looks back over for its predecessor in a chain.
 _CHAIN_REACH = 64
 
-# Cells the traceback checks per numpy pass along a diagonal run.
-_RUN_CHUNK = 64
-
 # A band of width w narrower than the matrix is filled by diagonals
 # when w * this <= n. At n = 1179 on a 2-core Xeon VM a column solve took
 # 28 us and a row of the row fill 3.0 us, so a column costs about 9 rows;
@@ -77,7 +63,8 @@ _ROWS_PER_DIAGONAL = 64
 
 @dataclass(frozen=True)
 class ScoringScheme:
-    """Match/mismatch scores plus affine gap penalties (all integers)."""
+    """Match/mismatch scores plus affine gap penalties, all Python ints:
+    a bool or a float is refused with ValueError."""
 
     match: int
     mismatch: int
@@ -85,6 +72,10 @@ class ScoringScheme:
     gap_extend: int
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.match <= self.mismatch:
             raise ValueError(
                 f"match score ({self.match}) must exceed mismatch ({self.mismatch})"
@@ -154,27 +145,54 @@ class AlignmentResult:
         return self.aligned_a.replace(GAP, "")
 
 
+def _codes(text: str) -> np.ndarray:
+    """The residues of ``text`` as ASCII codes, one uint8 each."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+def _shifted_scores(scheme: ScoringScheme) -> tuple[int, int, int]:
+    """(hit, miss, reopen): what a shifted cell (_fill_band) adds for a
+    diagonal step over equal residues, for one over different residues,
+    and for a gap open."""
+    extend = scheme.gap_extend
+    return scheme.match - 2 * extend, scheme.mismatch - 2 * extend, scheme.gap_open - extend
+
+
+def _b_run(b: str, start: int, length: int) -> str:
+    """b[k] for k = start .. start + length - 1, where start <= 0 <
+    start + length; an end residue stands in where k leaves ``b``."""
+    stop = start + length
+    return b[0] * -start + b[:stop] + b[-1] * max(0, stop - len(b))
+
+
+def _row0(scheme: ScoringScheme, first: int, width: int) -> list[int]:
+    """Row 0 of top = max(M, X, Y), stored as _fill_band stores a row:
+    M(0, 0) = 0, shifted, in storage column 1 - first, then an Insert
+    run; every other column unreached."""
+    origin = 1 - first
+    m00 = -origin * scheme.gap_extend
+    inserts = [m00 + _shifted_scores(scheme)[2]] * (width - origin)
+    return [_UNREACHED] * origin + [m00, *inserts, _UNREACHED]
+
+
 def _windows(
     a: str, b: str, scheme: ScoringScheme, step: int, first: int, width: int
 ) -> dict[str, np.ndarray]:
-    """windows[c][i][p]: the shifted score of pairing residue c with
-    b[j-1], sub - 2 * gap_extend, where (i, j) is stored at position p.
+    """windows[c][i][p]: the window score (_shifted_scores) of pairing
+    residue c with b[j-1], where (i, j) is stored at position p.
 
     Where j is outside 1..m the value is unused: M there adds it to an
     unreached cell or lies past column m. Built before the band is
     allocated, so its temporaries are gone by then.
     """
-    n, m = len(a), len(b)
-    i32 = np.int32
-    b_codes = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    b_at = b_codes[np.clip(np.arange(first - 1, first - 1 + step * n + width), 0, m - 1)]
-    hit = i32(scheme.match - 2 * scheme.gap_extend)
-    miss = i32(scheme.mismatch - 2 * scheme.gap_extend)
+    n = len(a)
+    hit, miss, _ = map(np.int32, _shifted_scores(scheme))
+    b_at = _codes(_b_run(b, first - 1, step * n + width))
     windows = {}
     for ch in set(a):
         scores = np.where(b_at == ord(ch), hit, miss)
         strides = (step * scores.itemsize, scores.itemsize)
-        windows[ch] = np.ndarray((n + 1, width), i32, scores, strides=strides)
+        windows[ch] = np.ndarray((n + 1, width), np.int32, scores, strides=strides)
     return windows
 
 
@@ -187,10 +205,11 @@ def _fill_diagonals(
     mat_m: np.ndarray,
     mat_x: np.ndarray,
     y_row: np.ndarray,
+    top0: list[int],
 ) -> int:
     """Fill a band stored by diagonal (step 1) one storage column at a
     time; writes M, X and the last Y row in place, as _fill_band stores
-    them, and returns the sweeps it ran.
+    them, and returns the sweeps it ran. ``top0`` is row 0 (_row0).
 
     Storage column c is diagonal d = first + c - 1, held as a vector
     over the rows i = 0..n, cell (i, i + d) at row i. With the shifted
@@ -205,7 +224,7 @@ def _fill_diagonals(
     the running sum of W (C(0) = 0), the chain solves to top = C + A
     and M(i) = C(i) + A(i-1), where A is the running maximum of
     other - C: one cumsum and one maximum.accumulate per column, with
-    other(0) = top(0), the row-0 value _fill_band sets.
+    other(0) = top(0) from row 0.
 
     X flows right to left and Y left to right, so sweeps alternate:
     right to left, X_c from column c+1 as just solved and Y_c from the
@@ -223,39 +242,37 @@ def _fill_diagonals(
     each is in the values after g sweeps, or g + 1 when its first group
     is Insert runs that do not start at (0, 0); a path of r gap runs
     needs at most r + 1. One sweep already reaches the end cell, by a
-    row-0 Insert run or a final Delete run. The fill stops after
-    ``sweeps`` at the latest, which align_global sets to R + 1 for R the
-    most gap runs a path reaching its target can have: every such path
-    is then in, and a cell on no such path may still hold less than its
-    optimum, which the traceback never tells apart.
+    row-0 Insert run or a final Delete run.
+
+    The fill stops after ``sweeps`` at the latest. align_global passes
+    R + 1, for R the most gap runs a path reaching its target T can
+    have. _match_bound with every residue of the shorter sequence a
+    match, U, charges each gap column one extend, so a path of r gap
+    runs scores at most U + r * reopen (_shifted_scores), and R is the
+    largest r for which that reaches T (n + m when gap_open ==
+    gap_extend). Every path reaching T is then in; a cell on no such
+    path may still hold less than its optimum, which the score and the
+    traceback never read.
 
     Scratch is three int32 vectors of n + 1 and the residue codes. The
-    running maximum's inputs other - C stay inside int32: see
-    _check_exact.
+    running maximum's inputs other - C stay inside int32 (_check_exact).
     """
     n, width = len(a), mat_m.shape[1] - 2
     i32 = np.int32
-    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=i32)
+    hit, miss, reopen = _shifted_scores(scheme)
     # W is miss, plus lift where the residues match
-    lift = np.array(scheme.match - scheme.mismatch, dtype=i32)
-    miss = np.array(scheme.mismatch - 2 * scheme.gap_extend, dtype=i32)
-    codes_a = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
+    lift, miss, reopen = (np.array(v, dtype=i32) for v in (hit - miss, miss, reopen))
+    codes_a = _codes(a)
     # b_cols[c-1][i-1] is b[i+d-1]; where that index leaves b an end
     # residue stands in: no cell of the matrix reads those cells, and C
     # is only ever differenced over rows past them
-    end = first + n + width - 1
-    padded = b[0] * max(0, -first) + b[max(0, first) : end] + b[-1] * max(0, end - len(b))
-    b_cols = np.ndarray((width, n), np.uint8, padded.encode("ascii"), strides=(1, 1))
-    del padded  # the codes are all the fill reads
+    b_bytes = _b_run(b, first, n + width - 1).encode("ascii")
+    b_cols = np.ndarray((width, n), np.uint8, b_bytes, strides=(1, 1))
     # run is C; gain is W, then A; edge is the top (right to left) or
     # the Y (left to right) the next column reads
     run, gain, edge = (np.empty(n + 1, dtype=i32) for _ in range(3))
     run[0] = 0
 
-    # row 0: M(0, 0) at column ``origin``, then an Insert run
-    origin = 1 - first
-    top0 = [_UNREACHED] * origin + [mat_m.item(0, origin)]
-    top0 += [top0[-1] + int(reopen)] * (width - origin)
     add, subtract, maximum = np.add, np.subtract, np.maximum
     running_sum, running_max = np.add.accumulate, np.maximum.accumulate
 
@@ -316,24 +333,21 @@ def _fill_band(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fill the Gotoh score matrices on a band of diagonals only.
 
-    The band spans diagonals lo = min(0, m-n) - slack to
-    hi = max(0, m-n) + slack.
+    Diagonal d holds the cells with j - i = d. The band spans diagonals
+    lo = min(0, m-n) - slack to hi = max(0, m-n) + slack.
 
     M[i, j]: best score where the last column pairs a[i-1] with b[j-1].
     X[i, j]: last column consumes a[i-1] against a gap (Delete run).
     Y[i, j]: last column consumes b[j-1] against a gap (Insert run).
 
-    Diagonal d holds the cells with j - i = d. Values are the optimum
-    over paths that stay inside the band, as int32. A cell no in-band
-    path reaches starts at _UNREACHED and gains what any cell gains, so
-    it holds the sentinel plus a drift: below every score, never
-    chosen, never wrapped (_check_exact). M and X are kept whole, since
-    the traceback reads them; Y is kept for the last row only, since it
-    reads Y nowhere else. Returns M, X, the last Y row and (step,
-    first): cell (i, j) is stored at row i, column c = j - step*i -
-    first + 1, with an unreached column at each end of a row (the Y row
-    has none on the left, so column c there is column c + 1 of M and
-    X).
+    Values are the optimum over paths that stay inside the band, as
+    int32; a cell no in-band path reaches holds a sentinel below every
+    score (_check_exact). M and X are kept whole, since the traceback
+    reads them; Y is kept for the last row only, since it reads Y
+    nowhere else. Returns M, X, the last Y row and (step, first): cell
+    (i, j) is stored at row i, column c = j - step*i - first + 1, with
+    an unreached column at each end of a row (the Y row has none on the
+    left, so column c there is column c + 1 of M and X).
 
     A band narrower than the matrix is stored by diagonal (step 1,
     first lo): row i holds j = i+lo .. i+hi, so (i-1, j-1) sits in the
@@ -349,19 +363,19 @@ def _fill_band(
     and with o = gap_open - gap_extend the recurrences lose their extend
     terms:
 
-        M = top(i-1, j-1) + sub - 2 * gap_extend   (folded into windows)
+        M = top(i-1, j-1) + sub - 2 * gap_extend   (the window score)
         X = max(X(i-1, j), top(i-1, j) + o)
         Y = o + running maximum of max(M, X) over the row, left of j
 
     where top is max(M, X, Y). Opening from Delete costs no less than
     extending it, so top can stand in for max(M, Y) in X.
+    _shifted_scores gives the window scores and o.
 
-    A band narrower than the matrix whose width times _ROWS_PER_DIAGONAL
-    is at most n is filled one diagonal at a time, in at most ``sweeps``
-    sweeps of whole-diagonal numpy calls (_fill_diagonals). Every other
-    band is filled row by row: a row takes 7 numpy calls, none with a
-    ramp, and the rows are walked with zip over row views while two top
-    buffers take turns.
+    A band _by_diagonals picks is filled one diagonal at a time, in at
+    most ``sweeps`` sweeps (_fill_diagonals). Every other band is filled
+    row by row: a row takes 7 numpy calls, none with a ramp, and the
+    rows are walked with zip over row views while two top buffers take
+    turns.
 
     Raises:
         AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
@@ -375,28 +389,24 @@ def _fill_band(
     mat_m = np.full((n + 1, width + 2), _UNREACHED, dtype=i32)
     mat_x = np.full((n + 1, width + 2), _UNREACHED, dtype=i32)
     y_row = np.full(width, _UNREACHED, dtype=i32)
-    # M(0, 0) = 0, shifted, in storage column 1 - first
-    mat_m[0, 1 - first] = -(1 - first) * scheme.gap_extend
+    top0 = _row0(scheme, first, width)
+    mat_m[0, 1 - first] = top0[1 - first]  # M(0, 0)
     if by_diagonal:
-        _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row)
+        _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row, top0)
         return mat_m, mat_x, y_row, step, first
 
     # a 0-d array: ufuncs take it faster than a numpy scalar
-    reopen = np.array(scheme.gap_open - scheme.gap_extend, dtype=i32)
+    reopen = np.array(_shifted_scores(scheme)[2], dtype=i32)
     y_tail = y_row[1:]
     inner_m, inner_x = mat_m[:, 1:-1], mat_x[:, 1:-1]
     # x_above row i-1 is X at (i-1, j) for the cell (i, j) at each position
     x_above = mat_x[:-1, 1 + step : 1 + step + width]
 
-    # row 0: M(0, 0), then an Insert run; X is unreached throughout
-    tops = [np.full(width + 2, _UNREACHED, dtype=i32) for _ in range(2)]
-    start = -first
-    tops[0][1 + start] = mat_m.item(0, 1 + start)
-    tops[0][2 + start : -1] = tops[0][1 + start] + reopen
-
-    # the two top buffers take turns as the row above, read at (i-1, j-1)
-    # and (i-1, j), and as the row being filled (whole, and all but its
-    # last cell for the Insert scan); both keep their unreached end columns
+    # the two top buffers, row 0 first, take turns as the row above, read
+    # at (i-1, j-1) and (i-1, j), and as the row being filled (whole, and
+    # all but its last cell for the Insert scan); both keep their
+    # unreached end columns
+    tops = (np.array(top0, dtype=i32), np.full(width + 2, _UNREACHED, dtype=i32))
     above = [(t[step : step + width], t[1 + step : 1 + step + width]) for t in tops]
     filling = [(t[1:-1], t[1:-2]) for t in tops]
     turns = cycle((above[0] + filling[1], above[1] + filling[0]))
@@ -427,31 +437,26 @@ def _traceback(
 ) -> tuple[str, str]:
     """Walk one optimal path back to (0, 0); returns the two gapped rows.
 
-    The walk compares the values _fill_band stored, shift included.
-    ``ends`` holds stored M, X and Y at the end cell (n, m), which sits
-    in storage column ``end`` of the last row; Y there is the only Y
-    value the walk needs: elsewhere a state is Y when it is neither M
-    nor X. The predecessors of a state all sit in one cell and share
-    its shift, so, as in the fill, a diagonal step adds that cell's
-    window score, an open adds gap_open - gap_extend and an extend adds
-    nothing. All values are integers, so exact equality against
-    candidate predecessors is safe. Preference order M > X > Y applies
-    at the end cell and at every step. A predecessor no in-band path
-    reaches holds a value below every score (_check_exact), so it never
-    equals the value sought and is never chosen.
+    The walk compares the values _fill_band stored, shift included: the
+    predecessors of a state all sit in one cell and share its shift, so
+    each step undoes one of _fill_band's recurrences. ``ends`` holds
+    stored M, X and Y at the end cell (n, m), which sits in storage
+    column ``end`` of the last row; Y there is the only Y value the walk
+    needs: elsewhere a state is Y when it is neither M nor X. All values
+    are integers, so exact equality against candidate predecessors is
+    safe, and an unreached predecessor never equals a score
+    (_check_exact). At the end cell and at every step Match/Mismatch is
+    preferred over Delete, and Delete over Insert: M > X > Y.
 
     In state M the walk takes a diagonal run at once: it stays in M
     past a cell while the stored M up the diagonal equals this cell's
-    stored M minus its window score. The check runs on up to _RUN_CHUNK
-    cells per numpy pass, in integers, which bounds the cells looked at
-    past the end of a run; the run is emitted as two string slices.
-    Where a run ends, and in the gap states, the walk steps one cell at
-    a time.
+    stored M minus its window score. One numpy pass checks the whole
+    diagonal up to row 0 or column 0, and the run is emitted as two
+    string slices. Where a run ends, and in the gap states, the walk
+    steps one cell at a time.
     """
-    reopen = scheme.gap_open - scheme.gap_extend
-    # the window scores of _fill_band, as integers
-    hit = scheme.match - 2 * scheme.gap_extend
-    miss = scheme.mismatch - 2 * scheme.gap_extend
+    hit, miss, reopen = _shifted_scores(scheme)
+    codes_a, codes_b = _codes(a), _codes(b)
     i, j = len(a), len(b)
 
     # cell (i, j) sits at ``at`` in M and X flattened; (i-1, j-1) sits
@@ -467,23 +472,17 @@ def _traceback(
     while i > 0 or j > 0:
         if state == "M":
             # cells (i-k, j-k) .. (i, j) of the diagonal
-            k = min(_RUN_CHUNK, i, j)
+            k = min(i, j)
             run_cells = flat_m[at - k * diag : at + 1 : diag]
-            codes_a = np.frombuffer(a[i - k : i].encode("ascii"), dtype=np.uint8)
-            codes_b = np.frombuffer(b[j - k : j].encode("ascii"), dtype=np.uint8)
-            scores = np.where(codes_a == codes_b, hit, miss)
+            scores = np.where(codes_a[i - k : i] == codes_b[j - k : j], hit, miss)
             breaks = np.flatnonzero(run_cells[:-1] != run_cells[1:] - scores)
             run = k - int(breaks[-1]) if len(breaks) else k
             cols_a.append(a[i - run : i])
             cols_b.append(b[j - run : j])
             i, j, at = i - run, j - run, at - run * diag
+            # the run ends at (0, 0) or where M does not hold the value
             here = mat_m.item(at + diag) - (hit if a[i] == b[j] else miss)
-            if mat_m.item(at) == here:
-                state = "M"
-            elif mat_x.item(at) == here:
-                state = "X"
-            else:
-                state = "Y"
+            state = "X" if mat_x.item(at) == here else "Y"
         elif state == "X":
             cols_a.append(a[i - 1])
             cols_b.append(GAP)
@@ -521,9 +520,15 @@ def _band_shape(n: int, m: int, slack: int) -> tuple[int, int, int]:
     return step, first, width
 
 
+def _cover_slack(n: int, m: int) -> int:
+    """The smallest slack whose band is at least as wide as the matrix:
+    |m - n| + 2 * slack >= m."""
+    return max(0, m - abs(m - n) + 1) // 2
+
+
 def _covers_matrix(n: int, m: int, slack: int) -> bool:
     """True when the band is at least as wide as the matrix."""
-    return abs(m - n) + 2 * slack >= m
+    return slack >= _cover_slack(n, m)
 
 
 def _by_diagonals(n: int, m: int, slack: int) -> bool:
@@ -538,34 +543,32 @@ def _slack_beating(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
     """Smallest slack whose band covers the matrix or holds every path
     scoring at least ``score``.
 
-    The band of slack s spans diagonals min(0, m-n) - s .. max(0, m-n)
-    + s, and covers the matrix from s = cover on. A path that leaves it
-    on either side makes at least D = max(0, n-m) + s + 1 Delete columns
-    and D + m - n Insert columns, both kinds at least once, so it pays
-    two opens on top of _match_bound's extends and scores at most
+    A path that leaves the band of slack s (_fill_band) on either side
+    makes at least D = max(0, n-m) + s + 1 Delete columns and D + m - n
+    Insert columns, both kinds at least once, so it pays two opens on
+    top of _match_bound's extends and scores at most
 
-        E(D) = 2 * (gap_open - gap_extend) + _match_bound(n, m, n, deletes=D),
+        E(D) = 2 * reopen + _match_bound(n, m, n, deletes=D),
 
-    which is max(F(D), F(n)) for F linear in D with slope 2 * gap_extend
-    - match. So E never rises as s grows, and never falls below E(n).
-    Where E(first), at s = 0, reaches ``score`` but E(n) does not, F
-    falls, and the slack is the smallest s with F(first + s) below
-    ``score``, solved in closed form.
+    which is max(F(D), F(n)) for F linear in D with slope -hit
+    (_shifted_scores). So E never rises as s grows, and never falls
+    below E(n). Where E(first), at s = 0, reaches ``score`` but E(n)
+    does not, F falls, and the slack is the smallest s with
+    F(first + s) below ``score``, solved in closed form.
     """
-    cover = max(0, m - abs(m - n) + 1) // 2
+    hit, _, reopen = _shifted_scores(scheme)
+    cover = _cover_slack(n, m)
     first = max(0, n - m) + 1
 
     def exit_bound(deletes: int) -> int:
-        return 2 * (scheme.gap_open - scheme.gap_extend) + _match_bound(
-            n, m, n, scheme, deletes
-        )
+        return 2 * reopen + _match_bound(n, m, n, scheme, deletes)
 
     if exit_bound(n) >= score:
         return cover
     widest = exit_bound(first)
     if widest < score:
         return 0
-    return min(cover, (widest - score) // (scheme.match - 2 * scheme.gap_extend) + 1)
+    return min(cover, (widest - score) // hit + 1)
 
 
 def _lcs_length(a: str, b: str) -> int:
@@ -581,7 +584,7 @@ def _lcs_length(a: str, b: str) -> int:
     """
     m = len(b)
     full = (1 << m) - 1
-    codes_b = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
+    codes_b = _codes(b)
     masks = {}
     for ch in set(a):
         bits = np.packbits(codes_b == ord(ch), bitorder="little")
@@ -610,12 +613,9 @@ def _match_bound(
 
     for D from max(deletes, n - m, 0) to n. That is linear in D on
     either side of D = n - matches, and its slope falls there, so the
-    maximum sits at one of the three values tried. This is the one
-    bound on a path's score that sizes the band (_slack_beating), caps
-    the diagonal fill's sweeps and refuses a row fill (align_global).
-    With matches = min(n, m) and no lower limit on D it is the
-    all-match bound (n + m) * gap_extend + max(0, match - 2 *
-    gap_extend) * min(n, m).
+    maximum sits at one of the three values tried. With matches =
+    min(n, m) and no lower limit on D it is the all-match bound
+    (n + m) * gap_extend + max(0, match - 2 * gap_extend) * min(n, m).
     """
     lift = scheme.match - scheme.mismatch
 
@@ -635,9 +635,7 @@ def _gapless_score(a: str, b: str, scheme: ScoringScheme) -> int:
     """Score of the gapless path of two equal-length sequences, the sum
     of their pair scores: a real global path's, so a lower bound on the
     optimum."""
-    codes_a = np.frombuffer(a.encode("ascii"), dtype=np.uint8)
-    codes_b = np.frombuffer(b.encode("ascii"), dtype=np.uint8)
-    same = int(np.count_nonzero(codes_a == codes_b))
+    same = int(np.count_nonzero(_codes(a) == _codes(b)))
     return scheme.match * same + scheme.mismatch * (len(a) - same)
 
 
@@ -725,8 +723,7 @@ def _seed(a: Sequence, b: Sequence, scheme: ScoringScheme) -> _Seed:
     diagonal columns and one gap run. The gap goes at the split that
     scores best.
     """
-    codes_a = np.frombuffer(a.residues.encode("ascii"), dtype=np.uint8)
-    codes_b = np.frombuffer(b.residues.encode("ascii"), dtype=np.uint8)
+    codes_a, codes_b = _codes(a.residues), _codes(b.residues)
     corners = [(0, 0)]
     score = 0
 
@@ -825,26 +822,21 @@ def align_global(
 
     The DP is filled once, on a band of diagonals around the corridor
     from diagonal 0 to diagonal len(b) - len(a). It is sized from L, the
-    score of a real global path and so a lower bound on the optimum. The
-    slack is the smallest for which _match_bound puts every path that
-    leaves the band below the target T = max(L, ``floor``)
-    (_slack_beating). So a band scoring at least T holds every optimal
-    path, and rows, ops and score are the ones the full matrix gives,
-    with or without a floor. The fill by diagonals holds exact values
-    on every path reaching T, and the score and traceback read no other
-    cell. _match_bound with every residue of the shorter sequence a
-    match, U, charges each gap column one extend, so a path of r gap
-    runs scores at most U + r * (gap_open - gap_extend): a path reaching
-    T has at most R runs, the largest r for which that reaches T (n + m
-    when gap_open == gap_extend), and the fill runs at most R + 1 sweeps
-    (_fill_diagonals). A band scoring below T holds no path that reaches
-    T. When T is ``floor``, neither does the matrix, and the result is
-    None, found before any traceback, or, for a band filled by rows,
-    before anything is allocated when _match_bound with as many matches
-    as a longest common subsequence (_lcs_length) is below T; the cell
-    limit is checked first. When T is L, the path L scores lies inside
-    the band, so a band below it means L is wrong, and AssertionError is
-    raised; L never exceeds the LCS bound, which is not computed then.
+    score of a real global path and so a lower bound on the optimum: the
+    band holds every path that reaches the target T = max(L, ``floor``)
+    (_slack_beating), and the fill by diagonals runs until each such
+    path is in (_fill_diagonals). So a band scoring at least T holds
+    every optimal path, and rows, ops and score are the ones the full
+    matrix gives, with or without a floor.
+
+    A band scoring below T holds no path that reaches T. When T is
+    ``floor``, neither does the matrix, and the result is None, found
+    before any traceback, or, for a band filled by rows, before anything
+    is allocated when _match_bound with as many matches as a longest
+    common subsequence (_lcs_length) is below T; the cell limit is
+    checked first. When T is L, the path L scores lies inside the band,
+    so a band below it means L is wrong, and AssertionError is raised;
+    L never exceeds the LCS bound, which is not computed then.
 
     When len(a) != len(b), L is the score of a seed path built from
     shared words (_seed). When len(a) == len(b), L starts as G, the
@@ -898,9 +890,10 @@ def align_global(
             _band_shape(n, m, slack)  # an oversized band raises first
             if _match_bound(n, m, _lcs_length(a.residues, b.residues), scheme) < target:
                 return None
-        premium = scheme.gap_extend - scheme.gap_open
+        # R + 1 sweeps (_fill_diagonals)
+        reopen = _shifted_scores(scheme)[2]
         beyond = max(0, _match_bound(n, m, min(n, m), scheme) - target)
-        sweeps = (beyond // premium if premium else n + m) + 1
+        sweeps = (beyond // -reopen if reopen else n + m) + 1
         filled = _fill_band(a.residues, b.residues, scheme, slack, sweeps)
         mat_m, mat_x, y_last, step, first = filled
         end = m - step * n - first + 1  # the storage column of cell (n, m)

@@ -78,19 +78,23 @@ class Database:
 
     ``columns`` holds each field's values in file order: ``codon`` as
     ints, every other field as trimmed text, with codons and amino acids
-    upper-cased. Rows are indexed by (codon, mut_codon). A row becomes a
-    ``MutationRecord`` only when a lookup or ``records`` returns it, and
-    that record is kept for the next request.
+    upper-cased. It holds every field of ``COLUMNS``; ``extra_columns``
+    names the others, in the mapping's order. Rows are indexed by
+    (codon, mut_codon). A row becomes a ``MutationRecord`` only when a
+    lookup or ``records`` returns it, and that record is kept for the
+    next request.
     """
 
     columns: Mapping[str, Sequence]
-    extra_columns: tuple[str, ...] = ()
+    extra_columns: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         columns = {name: tuple(values) for name, values in self.columns.items()}
         lengths = {len(values) for values in columns.values()}
-        if set(columns) != {*COLUMNS, *self.extra_columns} or len(lengths) != 1:
-            raise ValueError("columns must be the schema's fields, all of one length")
+        if not columns.keys() >= set(COLUMNS) or len(lengths) != 1:
+            raise ValueError("columns must hold the schema's fields, all of one length")
+        extra = tuple(name for name in columns if name not in COLUMNS)
+        object.__setattr__(self, "extra_columns", extra)
         index: dict[int, dict[str, list[int]]] = {}
         for pos, (codon, mut) in enumerate(zip(columns["codon"], columns["mut_codon"])):
             index.setdefault(codon, {}).setdefault(mut, []).append(pos)
@@ -184,7 +188,6 @@ def load_db(path: str | Path) -> Database:
     for name in REQUIRED_COLUMNS:
         if name not in positions:
             raise MissingColumnError(name)
-    extra_columns = tuple(name for name in header if name not in COLUMNS)
 
     id_at = positions.get("record_id")
     stored = [name for name in header if name != "record_id"]
@@ -229,7 +232,7 @@ def load_db(path: str | Path) -> Database:
         raise EmptyDatabaseError(f"{path}: no data rows")
     columns["record_id"] = record_ids
     columns.setdefault("mutation_event", ("",) * len(record_ids))
-    return Database(columns=columns, extra_columns=extra_columns)
+    return Database(columns=columns)
 
 
 @dataclass(frozen=True)

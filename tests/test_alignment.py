@@ -68,6 +68,17 @@ class TestScoringScheme:
         with pytest.raises(ValueError):
             ScoringScheme(match=2, mismatch=-1, gap_open=-5, gap_extend=1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [(2.5, -1, -5, -1), (2, -1.0, -5, -1), (2, -1, -5, -1.0), (True, False, -5, -1)],
+        ids=["float match", "float mismatch", "float extend", "bools"],
+    )
+    def test_fields_must_be_ints(self, fields):
+        # a float field gave a float score on the one-diagonal path and
+        # IndexError, TypeError or AssertionError elsewhere
+        with pytest.raises(ValueError, match="must be an int"):
+            ScoringScheme(*fields)
+
 
 def _with_ops(result: AlignmentResult, ops: list) -> dict:
     """``to_dict(result)`` with its derived ops replaced by ``ops``."""
@@ -976,7 +987,7 @@ def _assert_oracle_alignment(got: AlignmentResult, a: str, b: str) -> None:
 
 
 def test_identical_1179_nt_pair_is_one_run(reference_cds):
-    # one diagonal run across 19 chunks, down to (0, 0)
+    # one diagonal run, checked in one pass, down to (0, 0)
     copy = dna(reference_cds.residues, "copy")
     _same_as_oracle(reference_cds, copy, DNA_SCHEME)
     assert align_global(reference_cds, copy, DNA_SCHEME).ops == ((AlignOp.MATCH, 1179),)
@@ -986,7 +997,9 @@ def test_identical_1179_nt_pair_is_one_run(reference_cds):
 @pytest.mark.parametrize("run", [63, 64, 65, 128, 129])
 def test_diagonal_run_ending_at_a_chunk_edge(run: int, whole: bool):
     # a has 7 residues b lacks; from the end the walk takes `run`
-    # diagonal columns, one of them a mismatch, then the Delete run
+    # diagonal columns, one of them a mismatch, then the Delete run.
+    # Its one pass checks the diagonal on into the head, and the run
+    # must end where the Delete run begins, whatever its length
     rng = random.Random(run)
     head, gap, tail = _random_dna(rng, 80), "TTTTTTT", _random_dna(rng, run)
     head, tail = head[:-1] + "G", "A" + tail[1:]
@@ -1002,8 +1015,8 @@ def test_diagonal_run_ending_at_a_chunk_edge(run: int, whole: bool):
 @pytest.mark.parametrize("whole", [False, True], ids=["band", "whole"])
 @pytest.mark.parametrize("lead", [AlignOp.INSERT, AlignOp.DELETE])
 def test_path_starting_with_a_gap_run(lead: AlignOp, whole: bool):
-    # the diagonal run from the end stops at i == 0 (Insert first) or at
-    # j == 0 (Delete first), part way through a chunk
+    # the diagonal run from the end reaches i == 0 (Insert first) or
+    # j == 0 (Delete first) with no break: one pass takes it whole
     rng = random.Random(3)
     extra, core = _random_dna(rng, 9), _random_dna(rng, 100)
     a, b = (core, extra + core) if lead is AlignOp.INSERT else (extra + core, core)

@@ -332,6 +332,16 @@ def test_classify_on_empty_schema_db():
     assert classify(empty, calls_of(r248w())) is None
 
 
+def test_extra_columns_follow_the_columns_mapping():
+    # the names beyond COLUMNS, in the mapping's order; not an argument
+    columns = {"origin": (), **dict.fromkeys(COLUMNS, ()), "cell_line": ()}
+    assert Database(columns=columns).extra_columns == ("origin", "cell_line")
+    with pytest.raises(TypeError):
+        Database(columns=columns, extra_columns=("origin", "cell_line"))
+    with pytest.raises(ValueError, match="schema's fields"):
+        Database(columns={name: () for name in COLUMNS if name != "tumor_type"})
+
+
 def test_classify_warns_on_wt_codon_disagreement(tmp_path):
     path = write_tsv(tmp_path / "db.tsv", "a\t248\tCGT\tTGG\tR\tW\tBreast carcinoma")
     db = load_db(path)

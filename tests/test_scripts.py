@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,6 +45,27 @@ def test_report_digest_matches_the_committed_one():
     done = run_script("report_digest.py", "--check")
     assert done.returncode == 0, done.stderr
     assert "match the committed digest" in done.stdout
+
+
+def test_report_digest_check_names_the_parts_that_differ(monkeypatch, capsys):
+    # one (workload, seed) part's reports changed, and with them the
+    # overall digest: the check fails and names those two parts alone
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends to it
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", ROOT / "scripts" / "report_digest.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.DIGEST_PATH.read_text(encoding="ascii").splitlines()
+    found = {part: hexdigest for hexdigest, part in map(str.split, lines)}
+    assert list(found)[0] == "all"
+    assert len(found) == 1 + len(script.WORKLOADS) * len(script.SEEDS)
+    changed = list(found)[-1]
+    found.update({"all": "0" * 64, changed: "1" * 64})
+    monkeypatch.setattr(script, "digests", lambda: found)
+    assert script.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert f"in: all, {changed}\n" in err
 
 
 def _benchmark() -> dict:
