@@ -11,8 +11,8 @@ rule is stated once, in the docstring of the function that owns it:
 - ``_match_bound``: the one upper bound on a path's score.
 - ``_slack_beating``: the exit bound, which sizes the band of
   diagonals (Fickett 1984; Ukkonen 1985).
-- ``_fill_band``: the shifted cells, the storage layout and the fill
-  by rows.
+- ``_band_shape``: the band's storage layout, width and fill kind.
+- ``_fill_band``: the shifted cells and the fill by rows.
 - ``_fill_diagonals``: the fill by diagonals (after Farrar 2007) and
   its sweep cap.
 - ``_traceback``: the walk back, with Match/Mismatch preferred over
@@ -329,12 +329,9 @@ def _fill_diagonals(
 
 
 def _fill_band(
-    a: str, b: str, scheme: ScoringScheme, slack: int, sweeps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Fill the Gotoh score matrices on a band of diagonals only.
-
-    Diagonal d holds the cells with j - i = d. The band spans diagonals
-    lo = min(0, m-n) - slack to hi = max(0, m-n) + slack.
+    a: str, b: str, scheme: ScoringScheme, shape: _Band, sweeps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill the Gotoh score matrices on the band of ``shape`` only.
 
     M[i, j]: best score where the last column pairs a[i-1] with b[j-1].
     X[i, j]: last column consumes a[i-1] against a gap (Delete run).
@@ -344,17 +341,9 @@ def _fill_band(
     int32; a cell no in-band path reaches holds a sentinel below every
     score (_check_exact). M and X are kept whole, since the traceback
     reads them; Y is kept for the last row only, since it reads Y
-    nowhere else. Returns M, X, the last Y row and (step, first): cell
-    (i, j) is stored at row i, column c = j - step*i - first + 1, with
-    an unreached column at each end of a row (the Y row has none on the
-    left, so column c there is column c + 1 of M and X).
-
-    A band narrower than the matrix is stored by diagonal (step 1,
-    first lo): row i holds j = i+lo .. i+hi, so (i-1, j-1) sits in the
-    same column as (i, j) and (i-1, j) one column to the right. Columns
-    with j < 0 are unreached; those with j > m hold values no cell of
-    the matrix reads. A band at least as wide as the matrix is the whole
-    matrix (step 0, first 0), where (i-1, j-1) sits one column left.
+    nowhere else. Returns M, X and the last Y row; the Y row has no
+    unreached column on the left, so its column c is column c + 1 of M
+    and X.
 
     Cells are stored shifted: cell (i, j) holds its score minus
     (i + j + 1 - first) * gap_extend, that is ((1 + step) * i + c) *
@@ -371,19 +360,15 @@ def _fill_band(
     extending it, so top can stand in for max(M, Y) in X.
     _shifted_scores gives the window scores and o.
 
-    A band _by_diagonals picks is filled one diagonal at a time, in at
+    A band filled by diagonals is filled one diagonal at a time, in at
     most ``sweeps`` sweeps (_fill_diagonals). Every other band is filled
     row by row: a row takes 7 numpy calls, none with a ramp, and the
     rows are walked with zip over row views while two top buffers take
     turns.
-
-    Raises:
-        AlignmentTooLargeError: the band needs more than MAX_BAND_CELLS.
     """
-    n, m = len(a), len(b)
-    step, first, width = _band_shape(n, m, slack)
-    by_diagonal = _by_diagonals(n, m, slack)
-    if not by_diagonal:
+    n = len(a)
+    step, first, width, by_diagonals = shape
+    if not by_diagonals:
         windows = _windows(a, b, scheme, step, first, width)
     i32 = np.int32
     mat_m = np.full((n + 1, width + 2), _UNREACHED, dtype=i32)
@@ -391,9 +376,9 @@ def _fill_band(
     y_row = np.full(width, _UNREACHED, dtype=i32)
     top0 = _row0(scheme, first, width)
     mat_m[0, 1 - first] = top0[1 - first]  # M(0, 0)
-    if by_diagonal:
+    if by_diagonals:
         _fill_diagonals(a, b, scheme, first, sweeps, mat_m, mat_x, y_row, top0)
-        return mat_m, mat_x, y_row, step, first
+        return mat_m, mat_x, y_row
 
     # a 0-d array: ufuncs take it faster than a numpy scalar
     reopen = np.array(_shifted_scores(scheme)[2], dtype=i32)
@@ -422,7 +407,7 @@ def _fill_band(
         running_max(head, out=y_tail)
         add(y_tail, reopen, out=y_tail)
         maximum(top, y_row, out=top)
-    return mat_m, mat_x, y_row, step, first
+    return mat_m, mat_x, y_row
 
 
 def _traceback(
@@ -505,19 +490,44 @@ def _traceback(
     return "".join(cols_a), "".join(cols_b)
 
 
-def _band_shape(n: int, m: int, slack: int) -> tuple[int, int, int]:
-    """The step, first diagonal and width _fill_band stores the band
-    with; raises AlignmentTooLargeError past MAX_BAND_CELLS cells."""
-    lo, hi = min(0, m - n) - slack, max(0, m - n) + slack
-    whole = _covers_matrix(n, m, slack)
-    step, first, width = (0, 0, m + 1) if whole else (1, lo, hi - lo + 1)
-    cells = (n + 1) * (width + 2)
+class _Band(NamedTuple):
+    step: int
+    first: int
+    width: int
+    by_diagonals: bool
+
+
+def _band_shape(n: int, m: int, slack: int) -> _Band:
+    """How _fill_band stores and fills the band of ``slack``, which spans
+    diagonals lo = min(0, m-n) - slack to hi = max(0, m-n) + slack.
+
+    Diagonal d holds the cells with j - i = d. Cell (i, j) is stored at
+    row i, column c = j - step*i - first + 1, in a row of ``width``
+    columns and an unreached column at each end.
+
+    A band narrower than the matrix is stored by diagonal (step 1, first
+    lo, width hi - lo + 1): row i holds j = i+lo .. i+hi, so (i-1, j-1)
+    sits in the same column as (i, j) and (i-1, j) one to the right.
+    Columns with j < 0 are unreached; those with j > m hold values no
+    cell of the matrix reads. It is filled by diagonals when its width
+    times _ROWS_PER_DIAGONAL is at most n. A wider band is the whole
+    matrix (step 0, first 0, width m + 1), where (i-1, j-1) sits one
+    column left, and is filled by rows.
+    """
+    if slack >= _cover_slack(n, m):
+        return _Band(0, 0, m + 1, False)
+    width = abs(m - n) + 2 * slack + 1
+    return _Band(1, min(0, m - n) - slack, width, width * _ROWS_PER_DIAGONAL <= n)
+
+
+def _check_cells(n: int, m: int, shape: _Band) -> None:
+    """Raise AlignmentTooLargeError past MAX_BAND_CELLS stored cells."""
+    cells = (n + 1) * (shape.width + 2)
     if cells > MAX_BAND_CELLS:
         raise AlignmentTooLargeError(
             f"a {n} x {m} alignment needs {cells} cells, "
             f"more than the limit of {MAX_BAND_CELLS}"
         )
-    return step, first, width
 
 
 def _cover_slack(n: int, m: int) -> int:
@@ -526,24 +536,11 @@ def _cover_slack(n: int, m: int) -> int:
     return max(0, m - abs(m - n) + 1) // 2
 
 
-def _covers_matrix(n: int, m: int, slack: int) -> bool:
-    """True when the band is at least as wide as the matrix."""
-    return slack >= _cover_slack(n, m)
-
-
-def _by_diagonals(n: int, m: int, slack: int) -> bool:
-    """True when _fill_band fills the band one diagonal at a time: it is
-    narrower than the matrix and its width times _ROWS_PER_DIAGONAL is
-    at most n."""
-    width = abs(m - n) + 2 * slack + 1
-    return not _covers_matrix(n, m, slack) and width * _ROWS_PER_DIAGONAL <= n
-
-
 def _slack_beating(n: int, m: int, score: int, scheme: ScoringScheme) -> int:
     """Smallest slack whose band covers the matrix or holds every path
     scoring at least ``score``.
 
-    A path that leaves the band of slack s (_fill_band) on either side
+    A path that leaves the band of slack s (_band_shape) on either side
     makes at least D = max(0, n-m) + s + 1 Delete columns and D + m - n
     Insert columns, both kinds at least once, so it pays two opens on
     top of _match_bound's extends and scores at most
@@ -833,19 +830,19 @@ def align_global(
     ``floor``, neither does the matrix, and the result is None, found
     before any traceback, or, for a band filled by rows, before anything
     is allocated when _match_bound with as many matches as a longest
-    common subsequence (_lcs_length) is below T; the cell limit is
-    checked first. When T is L, the path L scores lies inside the band,
-    so a band below it means L is wrong, and AssertionError is raised;
-    L never exceeds the LCS bound, which is not computed then.
+    common subsequence (_lcs_length) is below T; the cell limit
+    (_check_cells) is checked first, once, on the band to fill. When T
+    is L, the path L scores lies inside the band, so a band below it
+    means L is wrong, and AssertionError is raised; L never exceeds the
+    LCS bound, which is not computed then.
 
     When len(a) != len(b), L is the score of a seed path built from
     shared words (_seed). When len(a) == len(b), L starts as G, the
     gapless path's score (_gapless_score). The seed runs only when the
     band sized from max(G, ``floor``) is neither one diagonal nor filled
-    by diagonals (_by_diagonals), which are cheap to fill as they
-    stand; then L = max(G, seed score). A band of one diagonal (slack
-    0) holds only the gapless path, so no fill runs and the band scores
-    G.
+    by diagonals (_band_shape), which are cheap to fill as they stand;
+    then L = max(G, seed score). A band of one diagonal (slack 0) holds
+    only the gapless path, so no fill runs and the band scores G.
 
     When len(a) == len(b) and the band scores exactly G, the rows are
     the inputs, with no traceback: the traceback would walk diagonal 0
@@ -872,44 +869,43 @@ def align_global(
     n, m = len(a), len(b)
     _check_exact(n, m, scheme)
 
-    def band(lower: int) -> tuple[int, int]:
-        """The target and slack a lower bound on the optimum gives."""
+    def band(lower: int) -> tuple[int, _Band | None]:
+        """The target a lower bound on the optimum gives, and its band."""
         target = lower if floor is None else max(lower, floor)
-        return target, _slack_beating(n, m, target, scheme)
+        slack = _slack_beating(n, m, target, scheme)
+        return target, None if n == m and slack == 0 else _band_shape(n, m, slack)
 
     gapless = _gapless_score(a.residues, b.residues, scheme) if n == m else None
     if gapless is not None:
-        target, slack = band(gapless)
-    if gapless is None or not (slack == 0 or _by_diagonals(n, m, slack)):
+        target, shape = band(gapless)
+    if gapless is None or (shape is not None and not shape.by_diagonals):
         seeded = _seed(a, b, scheme).score
-        target, slack = band(seeded if gapless is None else max(gapless, seeded))
-    if gapless is not None and slack == 0:
+        target, shape = band(seeded if gapless is None else max(gapless, seeded))
+    if shape is None:
         score = gapless  # the band's one path is the gapless one
     else:
-        if target == floor and not _by_diagonals(n, m, slack):
-            _band_shape(n, m, slack)  # an oversized band raises first
+        _check_cells(n, m, shape)
+        if target == floor and not shape.by_diagonals:
             if _match_bound(n, m, _lcs_length(a.residues, b.residues), scheme) < target:
                 return None
         # R + 1 sweeps (_fill_diagonals)
         reopen = _shifted_scores(scheme)[2]
         beyond = max(0, _match_bound(n, m, min(n, m), scheme) - target)
         sweeps = (beyond // -reopen if reopen else n + m) + 1
-        filled = _fill_band(a.residues, b.residues, scheme, slack, sweeps)
-        mat_m, mat_x, y_last, step, first = filled
-        end = m - step * n - first + 1  # the storage column of cell (n, m)
+        mat_m, mat_x, y_last = _fill_band(a.residues, b.residues, scheme, shape, sweeps)
+        end = m - shape.step * n - shape.first + 1  # cell (n, m)'s column
         ends = (mat_m.item(n, end), mat_x.item(n, end), y_last.item(end - 1))
-        score = int(max(ends)) + (n + m + 1 - first) * scheme.gap_extend
+        score = int(max(ends)) + (n + m + 1 - shape.first) * scheme.gap_extend
     if score < target:
         if target == floor:
             return None
         raise AssertionError(
-            f"band below its target: slack {slack}, target {target}, "
-            f"band score {score}"
+            f"band below its target: {shape}, target {target}, band score {score}"
         )
     if score == gapless:  # so n == m: the traceback would stay on diagonal 0
         return AlignmentResult(aligned_a=a.residues, aligned_b=b.residues, score=score)
     aligned_a, aligned_b = _traceback(
-        a.residues, b.residues, scheme, mat_m, mat_x, ends, step, end
+        a.residues, b.residues, scheme, mat_m, mat_x, ends, shape.step, end
     )
     # free the band before the ops pass allocates its own arrays
     del mat_m, mat_x

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .alignment import (
     DNA_SCHEME,
     PROTEIN_SCHEME,
     AlignOp,
     AlignmentResult,
+    ScoringScheme,
     align_global,
     identity_percent,
 )
@@ -32,7 +33,6 @@ from .seqio import Alphabet, FastaDocument, read_fasta, write_fasta
 from .translation import translate
 
 WRAP = 60
-SCHEME_FIELDS = ("match", "mismatch", "gap_open", "gap_extend")
 
 
 def _emit(payload: dict, text: str, output: str) -> None:
@@ -103,21 +103,23 @@ def _alignment_blocks(result: AlignmentResult) -> str:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     protein = args.alphabet == "protein"
+    given = {f.name: getattr(args, f.name) for f in fields(ScoringScheme)}
     scheme = replace(
         PROTEIN_SCHEME if protein else DNA_SCHEME,
-        **{k: getattr(args, k) for k in SCHEME_FIELDS if getattr(args, k) is not None},
+        **{name: value for name, value in given.items() if value is not None},
     )
     doc = read_fasta(args.fasta, Alphabet.PROTEIN if protein else Alphabet.DNA)
     if len(doc) != 2:
         raise RecordCountError(f"align needs exactly 2 records, found {len(doc)}")
     result = align_global(doc[0], doc[1], scheme)
+    identity = identity_percent(result)
     ops_text = ", ".join(f"{op.value} x{count}" for op, count in result.ops)
     text = "\n".join(
         [
             f"a: {doc[0].id}",
             f"b: {doc[1].id}",
             f"score: {result.score}",
-            f"identity: {identity_percent(result):.2f}%",
+            f"identity: {identity:.2f}%",
             f"ops: {ops_text}",
             "",
             _alignment_blocks(result),
@@ -126,7 +128,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     payload = {
         "a": doc[0].id,
         "b": doc[1].id,
-        "identity_percent": identity_percent(result),
+        "identity_percent": identity,
         **to_dict(result),
     }
     _emit(payload, text + "\n", args.output)
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphabet", choices=("dna", "protein"), default="dna",
         help="residue alphabet (default: dna)",
     )
-    for name in SCHEME_FIELDS:
+    for name in (f.name for f in fields(ScoringScheme)):
         p_align.add_argument(
             "--" + name.replace("_", "-"), type=int, default=None,
             help=f"{name.replace('_', ' ')} score (default: the alphabet's scheme)",

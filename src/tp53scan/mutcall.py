@@ -111,13 +111,16 @@ def call_mutations(alignment: AlignmentResult) -> MutationCallSet:
     dirty: set[int] = set()  # codon numbers compromised by a gap run
     subst: dict[int, str] = {}  # 1-based ref position -> subject base
     ref_pos = col = 0  # ref bases and columns before the run
+    has_indel = False
     for op, count in alignment.ops:
         if op is AlignOp.INSERT:
+            has_indel = True
             # insertion after ref_pos; only an off-boundary one breaks a triple
             if ref_pos % 3 != 0:
                 dirty.add((ref_pos + 2) // 3)
         else:
             if op is AlignOp.DELETE:
+                has_indel = True
                 # the codons of ref positions ref_pos + 1 .. ref_pos + count
                 dirty.update(range(ref_pos // 3 + 1, (ref_pos + count + 2) // 3 + 1))
             elif op is AlignOp.MISMATCH:
@@ -125,7 +128,6 @@ def call_mutations(alignment: AlignmentResult) -> MutationCallSet:
                 subst.update(zip(range(ref_pos + 1, ref_pos + count + 1), bases))
             ref_pos += count
         col += count
-    has_indel = any(op in (AlignOp.INSERT, AlignOp.DELETE) for op, _ in alignment.ops)
 
     ref = alignment.degapped_a()
     n_codons = len(ref) // 3
@@ -140,11 +142,10 @@ def call_mutations(alignment: AlignmentResult) -> MutationCallSet:
         )
         mutations.append(CodonMutation(codon_no, ref_codon, alt_codon))
 
-    dna_identical = not has_indel and not subst
     return MutationCallSet(
         mutations=tuple(mutations),
         has_indel=has_indel,
-        dna_identical=dna_identical,
+        dna_identical=not has_indel and not subst,
     )
 
 

@@ -322,7 +322,7 @@ def _same_as_oracle(a: Sequence, b: Sequence, scheme: ScoringScheme) -> None:
     # sized from the seed's score holds the seed path
     slack = alignment._slack_beating(n, m, seed.score, scheme)
     lo, hi = min(0, m - n) - slack, max(0, m - n) + slack
-    assert alignment._covers_matrix(n, m, slack) or all(
+    assert slack >= alignment._cover_slack(n, m) or all(
         lo <= j - i <= hi for i, j in seed.corners
     )
 
@@ -426,9 +426,14 @@ def test_one_fill_per_alignment(pair: str, reference_cds, subject_r248w):
     # diagonal, which holds only the gapless path and needs no fill
     a, b = (reference_cds, subject_r248w) if pair == "bundled" else _divergent_pair()
     assert _one_diagonal(a, b) is (pair == "bundled")
-    with mock.patch.object(alignment, "_fill_band", wraps=alignment._fill_band) as fill:
+    with mock.patch.object(
+        alignment, "_fill_band", wraps=alignment._fill_band
+    ) as fill, mock.patch.object(
+        alignment, "_check_cells", wraps=alignment._check_cells
+    ) as cells:
         _same_as_oracle(a, b, DNA_SCHEME)
-    assert fill.call_count == (0 if _one_diagonal(a, b) else 1)
+    # the cell limit is checked once, on the band that is filled
+    assert fill.call_count == cells.call_count == (0 if _one_diagonal(a, b) else 1)
 
 
 # --- the score floor and the one-diagonal band
@@ -705,7 +710,7 @@ def test_equal_length_pairs_start_from_the_gapless_score(
     gapless = alignment._gapless_score(a.residues, b.residues, DNA_SCHEME)
     target = gapless if floor is None else max(gapless, floor)
     slack = alignment._slack_beating(n, n, target, DNA_SCHEME)
-    cheap = slack == 0 or alignment._by_diagonals(n, n, slack)
+    cheap = slack == 0 or alignment._band_shape(n, n, slack).by_diagonals
     with mock.patch.object(
         alignment, "_seed", wraps=alignment._seed
     ) as seed, mock.patch.object(
@@ -760,12 +765,14 @@ def _assert_same_values(rows: np.ndarray, diagonals: np.ndarray) -> None:
     assert np.array_equal(rows[reached], diagonals[reached])
 
 
-def _assert_same_cells(a: str, b: str, rows: tuple, diagonals: tuple) -> None:
+def _assert_same_cells(
+    a: str, b: str, first: int, rows: tuple, diagonals: tuple
+) -> None:
     """Stored M and X agree at every cell with 0 <= j <= m (cells with
-    j > m are read by no cell of the matrix), and Y at the end cell."""
+    j > m are read by no cell of the matrix), and Y at the end cell, for
+    two fills of one band stored by diagonal from diagonal ``first``."""
     n, m = len(a), len(b)
-    mat_m, mat_x, y_last, step, first = rows
-    assert (step, first) == diagonals[3:] and step == 1
+    mat_m, mat_x, y_last = rows
     # row i, storage column c holds cell (i, i + first + c - 1)
     j = np.arange(n + 1)[:, None] + first - 1 + np.arange(mat_m.shape[1])
     inside = j <= m
@@ -801,7 +808,7 @@ def _band_cases(draw) -> tuple[str, str, int]:
     if draw(st.booleans()):
         b = (b + rng.choices(unit, k=n))[:n]
     slack = draw(st.integers(0, 8))
-    assume(not alignment._covers_matrix(n, len(b), slack))
+    assume(slack < alignment._cover_slack(n, len(b)))
     return "".join(a), "".join(b), slack
 
 
@@ -817,17 +824,23 @@ def test_fill_by_diagonals_converges_to_the_fill_by_rows(case, scheme: ScoringSc
     a, b, slack = case
     sweeps = len(a) + len(b) + 1
     with _by("rows"):
-        rows = alignment._fill_band(a, b, scheme, slack, sweeps)
+        by_rows = alignment._band_shape(len(a), len(b), slack)
+    with _by("diagonals"):
+        by_diagonals = alignment._band_shape(len(a), len(b), slack)
+    # one layout, stored by diagonal, and the two fill kinds
+    assert by_rows._replace(by_diagonals=True) == by_diagonals and by_rows.step == 1
+    assert not by_rows.by_diagonals
+    rows = alignment._fill_band(a, b, scheme, by_rows, sweeps)
     fill, caps = alignment._fill_diagonals, []
 
     def recorded(*args):
         caps.append(args[4])
         return fill(*args)
 
-    with _by("diagonals"), mock.patch.object(alignment, "_fill_diagonals", recorded):
-        diagonals = alignment._fill_band(a, b, scheme, slack, sweeps)
+    with mock.patch.object(alignment, "_fill_diagonals", recorded):
+        diagonals = alignment._fill_band(a, b, scheme, by_diagonals, sweeps)
     assert caps == [sweeps]
-    _assert_same_cells(a, b, rows, diagonals)
+    _assert_same_cells(a, b, by_rows.first, rows, diagonals)
 
 
 def _outcome(a: str, b: str, scheme: ScoringScheme, floor: int | None, kind: str):
@@ -964,9 +977,8 @@ def _align_stored(a: str, b: str, whole: bool) -> tuple[AlignmentResult, int]:
     fill, steps = alignment._fill_band, []
 
     def recorded(*args):
-        mats = fill(*args)
-        steps.append(mats[3])
-        return mats
+        steps.append(args[3].step)
+        return fill(*args)
 
     wide = mock.patch.object(alignment, "_slack_beating", return_value=len(a) + len(b))
     with mock.patch.object(alignment, "_fill_band", recorded), (
@@ -1043,7 +1055,8 @@ def test_seed_puts_the_gap_at_the_best_split():
 def test_band_cells_take_8_bytes():
     n, m, slack = 30, 40, 3
     a, b = "A" * n, "C" * m
-    mat_m, mat_x, y_last, _, _ = alignment._fill_band(a, b, DNA_SCHEME, slack, sweeps=1)
+    band = alignment._band_shape(n, m, slack)
+    mat_m, mat_x, y_last = alignment._fill_band(a, b, DNA_SCHEME, band, sweeps=1)
     width = m - n + 2 * slack + 1
     assert mat_m.nbytes + mat_x.nbytes == 8 * (n + 1) * (width + 2)
     assert y_last.shape == (width,)
@@ -1174,6 +1187,35 @@ def test_fill_scratch_stays_under_its_stated_limit(band: str, reference_cds):
     else:
         limit = 4 * 4 * (n + width) + 2 * 4 * (width + 2) + 8 * 1024
     assert scratch < limit
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(1, 20_000), m=st.integers(1, 20_000), slack=st.integers(0, 12_000)
+)
+# a whole matrix whose width times _ROWS_PER_DIAGONAL is below n is
+# still filled by rows
+@example(n=1000, m=3, slack=0)
+# the whole matrix at exactly the cell limit, and one column past it
+@example(n=4999, m=5197, slack=2500)
+@example(n=4999, m=5198, slack=2500)
+def test_band_shape_gives_layout_fill_kind_and_cell_count(n: int, m: int, slack: int):
+    shape = alignment._band_shape(n, m, slack)
+    whole = slack >= alignment._cover_slack(n, m)
+    if whole:
+        assert shape[:3] == (0, 0, m + 1)
+    else:
+        lo, hi = min(0, m - n) - slack, max(0, m - n) + slack
+        assert shape[:3] == (1, lo, abs(m - n) + 2 * slack + 1)
+        assert shape.first + shape.width - 1 == hi
+    assert shape.by_diagonals is (
+        not whole and shape.width * alignment._ROWS_PER_DIAGONAL <= n
+    )
+    if (n + 1) * (shape.width + 2) > alignment.MAX_BAND_CELLS:
+        with pytest.raises(AlignmentTooLargeError, match="cells"):
+            alignment._check_cells(n, m, shape)
+    else:
+        alignment._check_cells(n, m, shape)
 
 
 def test_oversized_band_raises_named_error(monkeypatch):
