@@ -25,9 +25,16 @@ from .codec import to_dict
 from .composition import DEFAULT_GC_THRESHOLD, check_threshold, composition, reference_gate
 from .datafiles import bundled_db_path, bundled_refstore_path
 from .errors import RecordCountError, ScanError
-from .mutcall import MutationCallSet, call_mutations
+from .mutcall import call_mutations
 from .mutdb import FilterQuery, load_db, query
-from .pipeline import PipelineConfig, predict, render_text, report_to_dict
+from .pipeline import (
+    PipelineConfig,
+    predict,
+    render_calls,
+    render_matches,
+    render_text,
+    report_to_dict,
+)
 from .refstore import load_store
 from .seqio import Alphabet, FastaDocument, read_fasta, write_fasta
 from .translation import translate
@@ -149,27 +156,13 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _callset_text(ref_id: str, subj_id: str, calls: MutationCallSet) -> str:
-    lines = [
-        f"reference: {ref_id}",
-        f"subject: {subj_id}",
-        f"dna_identical: {str(calls.dna_identical).lower()}",
-        f"has_indel: {str(calls.has_indel).lower()}",
-    ]
-    if calls.mutations:
-        lines.append("mutations:")
-        lines.extend(f"  {m.summary()}" for m in calls.mutations)
-    else:
-        lines.append("mutations: none")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_call(args: argparse.Namespace) -> int:
     ref = read_fasta(args.ref_fasta, Alphabet.DNA)[0]
     subj = read_fasta(args.subj_fasta, Alphabet.DNA)[0]
     calls = call_mutations(align_global(ref, subj, DNA_SCHEME))
     payload = {"reference": ref.id, "subject": subj.id, **to_dict(calls)}
-    _emit(payload, _callset_text(ref.id, subj.id, calls), args.output)
+    lines = [f"reference: {ref.id}", f"subject: {subj.id}", *render_calls(calls)]
+    _emit(payload, "\n".join(lines), args.output)
     return 0
 
 
@@ -177,15 +170,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     # a malformed clause is a usage error (exit 2) even when the db is unreadable
     q = FilterQuery.from_strings(args.where)
     result = query(load_db(args.db), q)
-    lines = [f"matches: {len(result.matches)}"]
-    for r in result.matches:
-        lines.append(
-            f"  {r.record_id}  codon {r.codon_number}  {r.wt_codon}>{r.mut_codon}  "
-            f"{r.wt_aa}>{r.mut_aa}  {r.tumor_type}"
-        )
-    if result.distinct_tumor_types:
-        lines.append("tumor types: " + "; ".join(result.distinct_tumor_types))
-    _emit(to_dict(result), "\n".join(lines) + "\n", args.output)
+    _emit(to_dict(result), "\n".join(render_matches(result)), args.output)
     return 0
 
 
@@ -214,6 +199,20 @@ def _add_output_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_db_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--db", default=bundled_db_path(),
+        help="TSV database path (default: bundled fixture)",
+    )
+
+
+def _add_threshold_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--threshold", type=float, default=DEFAULT_GC_THRESHOLD,
+        help=f"GC acceptance threshold in percent (default: {DEFAULT_GC_THRESHOLD})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tp53scan",
@@ -226,12 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gc", help="base composition and GC gate for each record")
     p_gc.add_argument("fasta", help="DNA FASTA file")
-    p_gc.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_GC_THRESHOLD,
-        help=f"GC acceptance threshold in percent (default: {DEFAULT_GC_THRESHOLD})",
-    )
+    _add_threshold_flag(p_gc)
     _add_output_flag(p_gc)
     p_gc.set_defaults(handler=_cmd_gc)
 
@@ -272,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.set_defaults(handler=_cmd_call)
 
     p_query = sub.add_parser("query", help="filter the mutation database")
-    p_query.add_argument(
-        "--db", default=bundled_db_path(),
-        help="TSV database path (default: bundled fixture)",
-    )
+    _add_db_flag(p_query)
     p_query.add_argument(
         "--where",
         action="append",
@@ -300,15 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--refstore", default=bundled_refstore_path(),
         help="reference store directory (default: bundled fixture)",
     )
-    p_pred.add_argument(
-        "--db", default=bundled_db_path(),
-        help="TSV database path (default: bundled fixture)",
-    )
+    _add_db_flag(p_pred)
     p_pred.add_argument("--gene", default="TP53", help="gene token (default: TP53)")
-    p_pred.add_argument(
-        "--threshold", type=float, default=DEFAULT_GC_THRESHOLD,
-        help=f"GC acceptance threshold (default: {DEFAULT_GC_THRESHOLD})",
-    )
+    _add_threshold_flag(p_pred)
     p_pred.add_argument(
         "--allow-partial", action="store_true",
         help="truncate a subject whose length is not a codon multiple",

@@ -237,7 +237,6 @@ def predict(
         verdict=verdict,
         subject_id=subject.id,
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        tool_version=TOOL_VERSION,
     )
 
 
@@ -258,6 +257,34 @@ def report_from_dict(payload: dict[str, Any]) -> PredictionReport:
     return from_dict(PredictionReport, payload)
 
 
+def render_calls(calls: MutationCallSet) -> list[str]:
+    """The text form of a call set, one line per item."""
+    lines = [
+        f"dna_identical: {str(calls.dna_identical).lower()}",
+        f"has_indel: {str(calls.has_indel).lower()}",
+    ]
+    if calls.mutations:
+        lines.append("mutations:")
+        lines.extend(f"  {m.summary()}" for m in calls.mutations)
+    else:
+        lines.append("mutations: none")
+    return lines
+
+
+def render_matches(result: AnnotationResult | None) -> list[str]:
+    """The text form of database matches; ``None`` reads as no match."""
+    matches = result.matches if result is not None else ()
+    lines = [f"database matches: {len(matches)}"]
+    lines.extend(
+        f"  {r.record_id}  codon {r.codon_number}  {r.wt_codon}>{r.mut_codon}  "
+        f"{r.wt_aa}>{r.mut_aa}  {r.tumor_type}"
+        for r in matches
+    )
+    if matches:
+        lines.append("tumor types: " + "; ".join(result.distinct_tumor_types))
+    return lines
+
+
 def render_text(report: PredictionReport) -> str:
     """Human-readable rendering of one report."""
     v = report.verdict
@@ -269,31 +296,9 @@ def render_text(report: PredictionReport) -> str:
         f"(record {ref.sequence_id}, {ref.length} nt, priority {ref.priority})",
         f"reference GC: {v.gc_report.gc_percent:.2f}%",
         "gate trace:",
+        *(f"  {a.source}: {a.gc_percent:.2f}% {a.decision.value}" for a in v.gate_trace),
+        *render_calls(v.mutations),
+        *render_matches(v.annotations),
+        f"generated: {report.generated_at} (tool {report.tool_version})",
     ]
-    for attempt in v.gate_trace:
-        lines.append(
-            f"  {attempt.source}: {attempt.gc_percent:.2f}% {attempt.decision.value}"
-        )
-    if v.mutations.dna_identical:
-        lines.append("mutations: none (subject DNA identical to reference)")
-    elif not v.mutations.mutations:
-        lines.append("mutations: none at codon resolution")
-    else:
-        lines.append("mutations:")
-        lines.extend(f"  {m.summary()}" for m in v.mutations.mutations)
-    if v.mutations.has_indel:
-        lines.append("indels: present (not codon-resolved)")
-    if v.annotations is None:
-        lines.append("database matches: none")
-    else:
-        lines.append("database matches:")
-        for r in v.annotations.matches:
-            lines.append(
-                f"  {r.record_id}: codon {r.codon_number} "
-                f"{r.wt_codon}>{r.mut_codon} {r.tumor_type}"
-            )
-        lines.append(
-            "tumor types: " + "; ".join(v.annotations.distinct_tumor_types)
-        )
-    lines.append(f"generated: {report.generated_at} (tool {report.tool_version})")
     return "\n".join(lines) + "\n"

@@ -18,10 +18,17 @@ from tp53scan.datafiles import (
     bundled_refstore_path,
     bundled_subject_path,
 )
-from tp53scan.pipeline import VerdictKind, report_from_dict
+from tp53scan.mutcall import call_mutations
+from tp53scan.mutdb import FilterQuery, query
+from tp53scan.pipeline import (
+    VerdictKind,
+    render_calls,
+    render_matches,
+    report_from_dict,
+)
 
 from support import rescore_alignment
-from tp53scan.alignment import DNA_SCHEME
+from tp53scan.alignment import DNA_SCHEME, align_global
 
 SUBJECT = str(bundled_subject_path())
 HOMOLOG = str(bundled_homolog_path())
@@ -244,6 +251,51 @@ def test_predict_text(capsys):
     assert "verdict: PreCancerMatch" in out
     assert "  248 CGG>TGG R>W Missense" in out
     assert "gate trace:" in out
+
+
+def test_call_query_and_predict_share_one_text_form_per_result(
+    db, reference_cds, subject_r248w, capsys
+):
+    # a call set and a match list each have one renderer in the library;
+    # the CLI adds only call's two header lines around them
+    calls = call_mutations(align_global(reference_cds, subject_r248w, DNA_SCHEME))
+    assert run(["call", REFERENCE, SUBJECT]) == 0
+    header = ["reference: tp53_cds_ncbi", "subject: subject_r248w"]
+    assert capsys.readouterr().out == "\n".join(header + render_calls(calls)) + "\n"
+
+    where = ["codon=248", "mut_codon=TGG"]
+    matches = query(db, FilterQuery.from_strings(where))
+    assert run(["query", "--where", where[0], "--where", where[1]]) == 0
+    assert capsys.readouterr().out == "\n".join(render_matches(matches)) + "\n"
+
+    assert run(["predict", SUBJECT]) == 0
+    out = capsys.readouterr().out
+    for block in (render_calls(calls), render_matches(matches)):
+        assert "\n" + "\n".join(block) + "\n" in out
+
+
+def test_reference_as_its_own_subject_reads_identical_with_no_match(capsys):
+    assert run(["call", REFERENCE, REFERENCE]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == ["dna_identical: true", "has_indel: false", "mutations: none"]
+    assert run(["predict", REFERENCE]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict: NoRisk" in lines
+    assert "dna_identical: true" in lines
+    assert "database matches: 0" in lines
+    assert not any(line.startswith("tumor types:") for line in lines)
+
+
+def test_readme_quick_start_output_is_the_predict_text(capsys):
+    # every line of the README's example output, but those eliding with
+    # "...", is a line of the real output, in the same order
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
+    shown = re.findall(r"```\n(.*?)```", section, re.DOTALL)[1].splitlines()
+    assert run(["predict", SUBJECT]) == 0
+    out = iter(capsys.readouterr().out.splitlines())
+    missing = [line for line in shown if "..." not in line and line not in out]
+    assert shown and missing == []
 
 
 def test_predict_json_round_trips(capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -332,6 +334,13 @@ def test_render_text_content(store, db, subject_r248w):
     assert "  248 CGG>TGG R>W Missense" in text
     assert "tumor types:" in text
     assert text.endswith("\n")
+
+
+def test_tool_version_is_the_package_version():
+    # pyproject.toml is read with a regex: Python 3.10 has no tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    found = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"), re.M)
+    assert found == [pipeline.TOOL_VERSION]
 
 
 def _descriptor() -> ReferenceDescriptor:
