@@ -5,17 +5,21 @@ wt_aa, mut_aa and tumor_type; other columns ride along as extra fields
 and stay queryable. Loading is all-or-nothing: the first bad row
 aborts with its line number.
 
-A loaded database is held as columns, so each rule runs once per
-distinct value and a row becomes a ``MutationRecord`` only when a
-lookup returns it.
+A loaded database is held as columns. Each column but ``record_id`` is
+its distinct values, in first-seen order, and one code per row in the
+narrowest ``array`` type that holds them; the (codon, mut_codon) index
+is one packed array of row positions with a span per key. So each rule
+runs once per distinct value, and a row becomes a ``MutationRecord``
+only when a lookup returns it.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from types import MappingProxyType
 
@@ -58,51 +62,125 @@ class MutationRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extra", MappingProxyType(dict(self.extra)))
-        if not self.record_id:
-            raise ValueError("empty record_id")
-        if self.codon_number < 1:
-            raise ValueError(f"codon_number >= 1 violated: {self.codon_number}")
-        check_codon("wt_codon", self.wt_codon)
-        check_codon("mut_codon", self.mut_codon)
-        if self.wt_codon == self.mut_codon:
-            raise ValueError(f"record {self.record_id!r}: wt and mut codons are equal")
-        for name in ("wt_aa", "mut_aa"):
-            aa = getattr(self, name)
-            if aa not in PROTEIN_RESIDUES:
-                raise ValueError(f"{name} must be one amino-acid letter, got {aa!r}")
+        _check_record(
+            self.record_id, self.codon_number, self.wt_codon, self.mut_codon,
+            self.wt_aa, self.mut_aa,
+        )
+
+
+def _check_record(
+    record_id: str, codon_number: int, wt_codon: str, mut_codon: str, wt_aa: str, mut_aa: str
+) -> None:
+    """A record's own checks, on the fields they read: every
+    ``MutationRecord`` runs them, and ``load_db`` once per key."""
+    if not record_id:
+        raise ValueError("empty record_id")
+    if codon_number < 1:
+        raise ValueError(f"codon_number >= 1 violated: {codon_number}")
+    check_codon("wt_codon", wt_codon)
+    check_codon("mut_codon", mut_codon)
+    if wt_codon == mut_codon:
+        raise ValueError(f"record {record_id!r}: wt and mut codons are equal")
+    for name, aa in (("wt_aa", wt_aa), ("mut_aa", mut_aa)):
+        if aa not in PROTEIN_RESIDUES:
+            raise ValueError(f"{name} must be one amino-acid letter, got {aa!r}")
+
+
+# array typecodes for codes, narrowest first, each with how many codes it holds
+_CODE_TYPES = tuple((code, 1 << 8 * array(code).itemsize) for code in "BHIQ")
+
+
+def _code_type(count: int) -> str:
+    """The narrowest array typecode that holds the codes 0 to ``count - 1``."""
+    return next(code for code, limit in _CODE_TYPES if count <= limit)
+
+
+class _Column(Sequence):
+    """A read-only column: row ``pos`` holds ``values[codes[pos]]``.
+
+    ``values`` are the column's distinct values in first-seen order and
+    ``codes`` one packed code per row. The ``record_id`` column, whose
+    values are all distinct, has the row positions as its codes.
+    """
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values: tuple, codes: Sequence[int]) -> None:
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return tuple(map(self.values.__getitem__, self.codes[pos]))
+        return self.values[self.codes[pos]]
+
+    def __iter__(self) -> Iterator:
+        return map(self.values.__getitem__, self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Column):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+def _as_column(name: str, values: Sequence) -> _Column:
+    """A column as a ``Database`` keeps it: finished, or coded from plain values."""
+    if isinstance(values, _Column):
+        return values
+    if name == "record_id":
+        values = tuple(values)
+        return _Column(values, range(len(values)))
+    code_of: dict = {}
+    codes = [code_of.setdefault(value, len(code_of)) for value in values]
+    return _Column(tuple(code_of), array(_code_type(len(code_of)), codes))
 
 
 @dataclass(frozen=True)
 class Database:
-    """A mutation database held as columns, one tuple per queryable field.
+    """A mutation database held as columns, one per queryable field.
 
-    ``columns`` holds each field's values in file order: ``codon`` as
-    ints, every other field as trimmed text, with codons and amino acids
-    upper-cased. It holds every field of ``COLUMNS``; ``extra_columns``
-    names the others, in the mapping's order. Rows are indexed by
-    (codon, mut_codon). A row becomes a ``MutationRecord`` only when a
-    lookup or ``records`` returns it, and that record is kept for the
-    next request.
+    ``columns`` holds each field's values in file order, as a read-only
+    sequence: ``codon`` as ints, every other field as trimmed text, with
+    codons and amino acids upper-cased. It holds every field of
+    ``COLUMNS``; ``extra_columns`` names the others, in the mapping's
+    order. The constructor takes plain sequences. Each column but
+    ``record_id`` is kept as its distinct values and one code per row,
+    in the narrowest ``array`` type that holds the codes.
+
+    Rows are indexed by (codon, mut_codon): one packed array holds the
+    row positions grouped by key, in file order within a key, and each
+    key has a (start, stop) span into it. A row becomes a
+    ``MutationRecord`` only when a lookup or ``records`` returns it,
+    and that record is kept for the next request.
     """
 
     columns: Mapping[str, Sequence]
     extra_columns: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        columns = {name: tuple(values) for name, values in self.columns.items()}
+        columns = {name: _as_column(name, values) for name, values in self.columns.items()}
         lengths = {len(values) for values in columns.values()}
         if not columns.keys() >= set(COLUMNS) or len(lengths) != 1:
             raise ValueError("columns must hold the schema's fields, all of one length")
         extra = tuple(name for name in columns if name not in COLUMNS)
         object.__setattr__(self, "extra_columns", extra)
-        index: dict[int, dict[str, list[int]]] = {}
-        for pos, (codon, mut) in enumerate(zip(columns["codon"], columns["mut_codon"])):
-            index.setdefault(codon, {}).setdefault(mut, []).append(pos)
+        codons, muts = columns["codon"], columns["mut_codon"]
+        rows: dict[tuple[int, int], list[int]] = {}
+        for pos, key in enumerate(zip(codons.codes, muts.codes)):
+            rows.setdefault(key, []).append(pos)
+        spans: dict[int, dict[str, tuple[int, int]]] = {}
+        start = 0
+        for (codon, mut), at in rows.items():
+            spans.setdefault(codons.values[codon], {})[muts.values[mut]] = (
+                start, start + len(at)
+            )
+            start += len(at)
+        positions = array(_code_type(start), chain.from_iterable(rows.values()))
         object.__setattr__(self, "columns", MappingProxyType(columns))
-        object.__setattr__(self, "_index", {
-            codon: {mut: tuple(rows) for mut, rows in by_mut.items()}
-            for codon, by_mut in index.items()
-        })
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_spans", spans)
         object.__setattr__(self, "_built", {})
 
     def __len__(self) -> int:
@@ -121,15 +199,20 @@ class Database:
     def rows_at(self, codon: int, mut_codon: str | None = None) -> Sequence[int]:
         """Positions of the rows at a codon, in file order; given a
         ``mut_codon``, only the rows that list it."""
-        by_mut = self._index.get(codon, {})
+        by_mut = self._spans.get(codon, {})
         if mut_codon is not None:
-            return by_mut.get(mut_codon, ())
-        return sorted(chain.from_iterable(by_mut.values()))
+            return self._positions[slice(*by_mut.get(mut_codon, (0, 0)))]
+        return sorted(chain.from_iterable(
+            self._positions[start:stop] for start, stop in by_mut.values()
+        ))
 
     def _record(self, pos: int) -> MutationRecord:
         record = self._built.get(pos)
         if record is None:
-            cell = {name: values[pos] for name, values in self.columns.items()}
+            cell = {
+                name: column.values[column.codes[pos]]
+                for name, column in self.columns.items()
+            }
             extra = {name: cell.pop(name) for name in self.extra_columns}
             record = self._built[pos] = MutationRecord(
                 codon_number=cell.pop("codon"), **cell, extra=extra
@@ -160,22 +243,74 @@ _READERS = {
 }
 
 
+class _ColumnReader:
+    """One column as ``load_db`` reads it. ``memo`` maps each cell text
+    read to its code; ``code_of`` gives each distinct value the next code,
+    in first-seen order, and ``values`` lists them by code. ``pending``
+    holds the codes of the rows read since the last ``pack``."""
+
+    __slots__ = ("read", "memo", "code_of", "values", "pending", "codes")
+
+    def __init__(self, read) -> None:
+        self.read = read
+        self.memo: dict[str, int] = {}
+        self.code_of: dict = {}
+        self.values: list = []
+        self.pending: list[int] = []
+        self.codes = array("B")
+
+    def pack(self) -> None:
+        """Move the pending codes into the packed ones, widening their type
+        when a code has outgrown it."""
+        try:
+            self.codes.fromlist(self.pending)
+        except OverflowError:
+            self.codes = array(_code_type(len(self.values)), self.codes)
+            self.codes.fromlist(self.pending)
+        self.pending.clear()
+
+
+# lines are split from the text, and codes packed, a block of about this
+# many characters at a time
+_BLOCK = 1 << 14
+
+
+def _blocks(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()``, one block of lines at a time. A block ends
+    after a ``\n``, which always ends a line, so only one block's lines
+    are alive; the text is dropped once its last block is split."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _BLOCK) + 1 or end
+        block = text[start:stop].splitlines()
+        if stop == end:
+            del text
+        yield block
+        start = stop
+
+
 def load_db(path: str | Path) -> Database:
     """Load a TSV mutation database, rejecting any malformed row.
 
     Codon and amino-acid cells are stripped and upper-cased. Each
-    column reads each distinct cell text once, and equal cells share
-    one value. A record's own checks run once for the first row of each
+    column reads each distinct cell text once, and equal values share
+    one code. A record's own checks run once for the first row of each
     distinct (codon, wt_codon, mut_codon, wt_aa, mut_aa) key; only the
     record id is checked on every row.
+
+    Lines are split a block at a time and dropped once read, and a row
+    keeps only its record id and one code per cell, packed after each
+    block: the file's lines, its values and the finished columns are
+    never held whole at once.
 
     Raises:
         MissingColumnError: a required column is absent from the header.
         BadRowError: a data row is malformed (carries the 1-based line).
         EmptyDatabaseError: the file holds a header but no data rows.
     """
-    lines = iter(read_text(path).splitlines())
-    header_line = next(lines, "")
+    blocks = _blocks(read_text(path))
+    block = next(blocks, [""])
+    header_line = block.pop(0)
     if not header_line.strip():
         raise MissingColumnError(REQUIRED_COLUMNS[0])
 
@@ -190,48 +325,63 @@ def load_db(path: str | Path) -> Database:
             raise MissingColumnError(name)
 
     id_at = positions.get("record_id")
-    stored = [name for name in header if name != "record_id"]
-    columns: dict[str, list] = {name: [] for name in stored}
-    # per stored column: its values, and a memo from cell text to value
-    readers = [(columns[name], {}, _READERS.get(name, str.strip)) for name in stored]
+    stored = {name: _ColumnReader(_READERS.get(name, str.strip))
+              for name in header if name != "record_id"}
+    cell_readers = [(column.pending, column.memo, column) for column in stored.values()]
     # the fields a record's checks read, in MutationRecord's field order
-    codons, wts, muts, wt_aas, mut_aas = (columns[name] for name in REQUIRED_COLUMNS[:5])
-    record_ids: list[str] = []
-    seen_ids: set[str] = set()
+    key_columns = [stored[name] for name in REQUIRED_COLUMNS[:5]]
+    codons, wts, muts, wt_aas, mut_aas = (column.pending for column in key_columns)
+    key_values = [column.values for column in key_columns]  # a key's codes -> its values
+    record_ids: dict[str, None] = {}  # in file order; smaller than a list and a set
     checked: set[tuple] = set()  # keys whose record checks passed
-    for line_no, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(header):
-            raise BadRowError(
-                line_no, f"expected {len(header)} fields, got {len(cells)}"
-            )
-        record_id = cells.pop(id_at).strip() if id_at is not None else f"row{line_no}"
-        for (values, memo, read), cell in zip(readers, cells):
-            value = memo.get(cell)
-            if value is None:
+    line_no = 1
+    for block in chain([block], blocks):
+        for line_no, line in enumerate(block, start=line_no + 1):
+            if not line.strip():
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise BadRowError(
+                    line_no, f"expected {len(header)} fields, got {len(cells)}"
+                )
+            record_id = cells.pop(id_at).strip() if id_at is not None else f"row{line_no}"
+            for (pending, memo, column), cell in zip(cell_readers, cells):
+                code = memo.get(cell)
+                if code is None:
+                    try:
+                        value = column.read(cell)
+                    except ValueError as exc:
+                        raise BadRowError(line_no, str(exc)) from None
+                    code = column.code_of.get(value)
+                    if code is None:
+                        code = column.code_of[value] = len(column.values)
+                        column.values.append(value)
+                    memo[cell] = code
+                pending.append(code)
+
+            if record_id in record_ids:
+                raise BadRowError(line_no, f"duplicate record_id {record_id!r}")
+            record_ids[record_id] = None
+            key = (codons[-1], wts[-1], muts[-1], wt_aas[-1], mut_aas[-1])
+            if key not in checked or not record_id:
                 try:
-                    value = memo[cell] = read(cell)
+                    _check_record(record_id, *map(list.__getitem__, key_values, key))
                 except ValueError as exc:
                     raise BadRowError(line_no, str(exc)) from None
-            values.append(value)
-
-        if record_id in seen_ids:
-            raise BadRowError(line_no, f"duplicate record_id {record_id!r}")
-        seen_ids.add(record_id)
-        record_ids.append(record_id)
-        key = (codons[-1], wts[-1], muts[-1], wt_aas[-1], mut_aas[-1])
-        if key not in checked or not record_id:
-            try:
-                MutationRecord(record_id, *key, mutation_event="", tumor_type="")
-            except ValueError as exc:
-                raise BadRowError(line_no, str(exc)) from None
-            checked.add(key)
+                checked.add(key)
+        for column in stored.values():
+            column.pack()
+    del block  # the last block's lines, before the columns are finished
     if not record_ids:
         raise EmptyDatabaseError(f"{path}: no data rows")
-    columns["record_id"] = record_ids
-    columns.setdefault("mutation_event", ("",) * len(record_ids))
+    columns = {
+        name: _Column(tuple(column.values), column.codes) for name, column in stored.items()
+    }
+    ids = tuple(record_ids)
+    del record_ids  # before the index is built
+    columns["record_id"] = _Column(ids, range(len(ids)))
+    if "mutation_event" not in columns:
+        columns["mutation_event"] = _Column(("",), array("B", bytes(len(ids))))
     return Database(columns=columns)
 
 
@@ -301,9 +451,14 @@ def query(db: Database, q: FilterQuery) -> AnnotationResult:
         if name == "codon":
             continue
         column, want = db.columns[name], _norm(value)
+        if len(rows) == len(db):  # every row is left, so every value is present
+            codes, present = column.codes, range(len(column.values))
+        else:
+            codes = [column.codes[pos] for pos in rows]
+            present = set(codes)
         # each distinct value among the rows left is normalized once
-        kept = {text for text in {column[pos] for pos in rows} if _norm(text) == want}
-        rows = [pos for pos in rows if column[pos] in kept]
+        kept = {code for code in present if _norm(column.values[code]) == want}
+        rows = list(compress(rows, map(kept.__contains__, codes)))
     return AnnotationResult(tuple(map(db._record, rows)))
 
 

@@ -6,11 +6,13 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tp53scan import mutdb
 from tp53scan.codec import from_dict, to_dict
 from tp53scan.errors import (
     BadRowError,
@@ -537,6 +539,27 @@ def test_load_db_matches_the_row_by_row_oracle(text):
         assert (tuple(got.records), got.extra_columns) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab \t\r\n\x0b\x1c\u2028", max_size=40), st.integers(1, 6))
+def test_blocks_split_lines_as_splitlines_does(text, size):
+    """A block ends after a ``\\n``, so it cuts no line and no ``\\r\\n``."""
+    with patch.object(mutdb, "_BLOCK", size):
+        blocks = list(mutdb._blocks(text))
+    assert [line for block in blocks for line in block] == text.splitlines()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation_tsvs(max_faults=2))
+def test_load_db_numbers_lines_across_blocks(text):
+    """With blocks of a few lines each, rows and faults keep their lines."""
+    with patch.object(mutdb, "_BLOCK", 8):
+        got, want = load_both(text)
+    if isinstance(want, BadRowError):
+        assert (got.line, str(got)) == (want.line, str(want))
+    else:
+        assert (tuple(got.records), got.extra_columns) == want
+
+
 def random_db(text: str):
     """A fault-free random database and the oracle's records for it."""
     db, (records, _) = load_both(text)
@@ -577,16 +600,63 @@ def test_classify_matches_a_naive_scan_on_random_dbs(text, data):
     check_classify(db, records, calls)
 
 
-def test_loading_the_29k_row_benchmark_db_stays_small(tmp_path, monkeypatch):
-    """The 29k-row database of the benchmark's divergent_indel workload
-    (seed 1) loads under 16 MB at peak, keeps under 8 MB and leaves
-    fewer than 1,000 objects for the garbage collector to track."""
+def write_benchmark_db(path: Path, monkeypatch) -> int:
+    """Write the 29k-row database of the benchmark's divergent_indel
+    workload (seed 1) to ``path``; returns its row count."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 
-    path = tmp_path / "mutations.tsv"
     reference = workloads.bundled_reference(ROOT / "src" / "tp53scan" / "data")
     workloads.write_mutation_db(1, reference, path)
+    return workloads.DB_ROWS
+
+
+def test_load_db_matches_the_oracle_on_the_29k_row_benchmark_db(tmp_path, monkeypatch):
+    """At full size, columns hold more distinct values than one byte
+    codes (392 codons, 600 cell lines) and rows span many blocks."""
+    path = tmp_path / "mutations.tsv"
+    rows = write_benchmark_db(path, monkeypatch)
+    db = load_db(path)
+    assert len(db) == rows
+    assert len(set(db.columns["codon"])) > 256
+    assert len(set(db.columns["cell_line"])) > 256
+    assert (db.records, db.extra_columns) == oracle_load_db(path)
+
+
+def test_a_column_of_70000_distinct_values_keeps_each_at_its_row():
+    n = 70_000
+    columns = {
+        "record_id": [f"r{k}" for k in range(n)],
+        "codon": [k % 393 + 1 for k in range(n)],
+        **{name: (value,) * n for name, value in [
+            ("wt_codon", "CGG"), ("mut_codon", "TGG"), ("wt_aa", "R"), ("mut_aa", "W"),
+            ("mutation_event", ""), ("tumor_type", "Sarcoma"),
+        ]},
+        "sample": tuple(f"S{k}" for k in range(n)),
+    }
+    db = Database(columns=columns)
+    assert db.extra_columns == ("sample",)
+    for name, values in columns.items():
+        column = db.columns[name]
+        assert len(column) == n
+        assert list(column) == list(values)
+        assert all(column[pos] == value for pos, value in enumerate(values))
+    sample = db.columns["sample"]
+    assert sample[-1] == "S69999"
+    assert sample[65_535:65_538] == ("S65535", "S65536", "S65537")
+    with pytest.raises(TypeError):
+        sample[0] = "S1"
+    assert list(db.rows_at(393, "TGG")) == list(range(392, n, 393))
+    result = query(db, FilterQuery((("sample", " s69999 "),)))
+    assert [r.record_id for r in result.matches] == ["r69999"]
+
+
+def test_loading_the_29k_row_benchmark_db_stays_small(tmp_path, monkeypatch):
+    """The 29k-row database of the benchmark's divergent_indel workload
+    (seed 1) loads under 7.5 MB at peak, keeps under 3 MB and leaves
+    fewer than 1,000 objects for the garbage collector to track."""
+    path = tmp_path / "mutations.tsv"
+    rows = write_benchmark_db(path, monkeypatch)
     gc.collect()
     tracked = len(gc.get_objects())
     tracemalloc.start()
@@ -597,7 +667,7 @@ def test_loading_the_29k_row_benchmark_db_stays_small(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     new_tracked = len(gc.get_objects()) - tracked
-    assert len(db) == workloads.DB_ROWS
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.2f} MB"
-    assert retained < 8 * 2**20, f"retained {retained / 2**20:.2f} MB"
+    assert len(db) == rows
+    assert peak < 7.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert retained < 3 * 2**20, f"retained {retained / 2**20:.2f} MB"
     assert new_tracked < 1_000, f"{new_tracked} new GC-tracked objects"
