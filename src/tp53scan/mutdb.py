@@ -5,12 +5,17 @@ wt_aa, mut_aa and tumor_type; other columns ride along as extra fields
 and stay queryable. Loading is all-or-nothing: the first bad row
 aborts with its line number.
 
-A loaded database is held as columns. Each column but ``record_id`` is
-its distinct values, in first-seen order, and one code per row in the
-narrowest ``array`` type that holds them; the (codon, mut_codon) index
-is one packed array of row positions with a span per key. So each rule
-runs once per distinct value, and a row becomes a ``MutationRecord``
-only when a lookup returns it.
+``load_db`` is the one builder of a ``Database``, which holds the file
+as columns, one per field. A column is its distinct values, in
+first-seen order, and one code per row in the narrowest ``array`` type
+that holds the codes: row ``pos`` holds ``values[codes[pos]]``. Codon
+values are ints; every other value is trimmed text, with codons and
+amino acids upper-cased. Record ids are all distinct, so that column's
+codes are the row positions. The (codon, mut_codon) index is one
+packed array of row positions, grouped by key and in file order within
+a key, with a (start, stop) span per key. So each rule runs once per
+distinct value, and a row becomes a ``MutationRecord`` only when a
+lookup returns it; the database keeps that record for the next request.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ import warnings
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
+
+import numpy as np
 
 from .errors import (
     BadRowError,
@@ -95,75 +102,29 @@ def _code_type(count: int) -> str:
     return next(code for code, limit in _CODE_TYPES if count <= limit)
 
 
-class _Column(Sequence):
-    """A read-only column: row ``pos`` holds ``values[codes[pos]]``.
-
-    ``values`` are the column's distinct values in first-seen order and
-    ``codes`` one packed code per row. The ``record_id`` column, whose
-    values are all distinct, has the row positions as its codes.
-    """
+class _Column:
+    """One stored column: row ``pos`` holds ``values[codes[pos]]``."""
 
     __slots__ = ("values", "codes")
 
-    def __init__(self, values: tuple, codes: Sequence[int]) -> None:
+    def __init__(self, values: tuple, codes: array) -> None:
         self.values, self.codes = values, codes
 
-    def __len__(self) -> int:
-        return len(self.codes)
 
-    def __getitem__(self, pos):
-        if isinstance(pos, slice):
-            return tuple(map(self.values.__getitem__, self.codes[pos]))
-        return self.values[self.codes[pos]]
-
-    def __iter__(self) -> Iterator:
-        return map(self.values.__getitem__, self.codes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Column):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-
-def _as_column(name: str, values: Sequence) -> _Column:
-    """A column as a ``Database`` keeps it: finished, or coded from plain values."""
-    if isinstance(values, _Column):
-        return values
-    if name == "record_id":
-        values = tuple(values)
-        return _Column(values, range(len(values)))
-    code_of: dict = {}
-    codes = [code_of.setdefault(value, len(code_of)) for value in values]
-    return _Column(tuple(code_of), array(_code_type(len(code_of)), codes))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Database:
     """A mutation database held as columns, one per queryable field.
 
-    ``columns`` holds each field's values in file order, as a read-only
-    sequence: ``codon`` as ints, every other field as trimmed text, with
-    codons and amino acids upper-cased. It holds every field of
-    ``COLUMNS``; ``extra_columns`` names the others, in the mapping's
-    order. The constructor takes plain sequences. Each column but
-    ``record_id`` is kept as its distinct values and one code per row,
-    in the narrowest ``array`` type that holds the codes.
-
-    Rows are indexed by (codon, mut_codon): one packed array holds the
-    row positions grouped by key, in file order within a key, and each
-    key has a (start, stop) span into it. A row becomes a
-    ``MutationRecord`` only when a lookup or ``records`` returns it,
-    and that record is kept for the next request.
+    ``load_db`` builds it; the module docstring says how each column and
+    the (codon, mut_codon) index are stored. ``extra_columns`` names the
+    fields beyond ``COLUMNS``, in the file's column order.
     """
 
-    columns: Mapping[str, Sequence]
+    columns: Mapping[str, _Column]
     extra_columns: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        columns = {name: _as_column(name, values) for name, values in self.columns.items()}
-        lengths = {len(values) for values in columns.values()}
-        if not columns.keys() >= set(COLUMNS) or len(lengths) != 1:
-            raise ValueError("columns must hold the schema's fields, all of one length")
+        columns = self.columns
         extra = tuple(name for name in columns if name not in COLUMNS)
         object.__setattr__(self, "extra_columns", extra)
         codons, muts = columns["codon"], columns["mut_codon"]
@@ -184,7 +145,7 @@ class Database:
         object.__setattr__(self, "_built", {})
 
     def __len__(self) -> int:
-        return len(self.columns["codon"])
+        return len(self.columns["codon"].codes)
 
     @property
     def queryable_fields(self) -> frozenset[str]:
@@ -379,7 +340,12 @@ def load_db(path: str | Path) -> Database:
     }
     ids = tuple(record_ids)
     del record_ids  # before the index is built
-    columns["record_id"] = _Column(ids, range(len(ids)))
+    # the row positions, packed from numpy's bytes: building the array
+    # from a range makes and converts one int object per row
+    position_type = _code_type(len(ids))
+    columns["record_id"] = _Column(
+        ids, array(position_type, np.arange(len(ids), dtype=position_type).tobytes())
+    )
     if "mutation_event" not in columns:
         columns["mutation_event"] = _Column(("",), array("B", bytes(len(ids))))
     return Database(columns=columns)
@@ -446,20 +412,17 @@ def query(db: Database, q: FilterQuery) -> AnnotationResult:
             raise UnknownFieldError(name)
 
     codon = next((value for name, value in q.clauses if name == "codon"), None)
-    rows: Sequence[int] = range(len(db)) if codon is None else db.rows_at(codon)
+    rows = np.arange(len(db)) if codon is None else np.array(db.rows_at(codon), np.intp)
     for name, value in q.clauses:
         if name == "codon":
             continue
         column, want = db.columns[name], _norm(value)
-        if len(rows) == len(db):  # every row is left, so every value is present
-            codes, present = column.codes, range(len(column.values))
-        else:
-            codes = [column.codes[pos] for pos in rows]
-            present = set(codes)
+        codes = np.frombuffer(column.codes, column.codes.typecode)[rows]
         # each distinct value among the rows left is normalized once
-        kept = {code for code in present if _norm(column.values[code]) == want}
-        rows = list(compress(rows, map(kept.__contains__, codes)))
-    return AnnotationResult(tuple(map(db._record, rows)))
+        present = np.flatnonzero(np.bincount(codes)).tolist()
+        kept = [code for code in present if _norm(column.values[code]) == want]
+        rows = rows[np.isin(codes, kept)]
+    return AnnotationResult(tuple(map(db._record, rows.tolist())))
 
 
 def classify(db: Database, calls: MutationCallSet) -> AnnotationResult | None:
@@ -477,9 +440,11 @@ def classify(db: Database, calls: MutationCallSet) -> AnnotationResult | None:
         if m.kind is MutationKind.SILENT:
             continue
         for pos in db.rows_at(m.codon_number, m.alt_codon):
-            if wt_codons[pos] != m.ref_codon:
+            wt_codon = wt_codons.values[wt_codons.codes[pos]]
+            if wt_codon != m.ref_codon:
+                record_id = record_ids.values[record_ids.codes[pos]]
                 warnings.warn(
-                    f"record {record_ids[pos]!r} lists wt codon {wt_codons[pos]} at "
+                    f"record {record_id!r} lists wt codon {wt_codon} at "
                     f"codon {m.codon_number}, caller saw {m.ref_codon}",
                     WtCodonMismatchWarning,
                     stacklevel=2,

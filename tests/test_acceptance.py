@@ -136,7 +136,8 @@ def test_criterion_5_filter_monotonicity(db):
             return rng.choice(codons + [1, 999])
         if rng.random() < 0.2:
             return rng.choice(["zzz", "no-such-value", "999"])
-        raw = rng.choice(db.columns[field])
+        record = rng.choice(db.records)
+        raw = record.extra[field] if field in db.extra_columns else getattr(record, field)
         style = rng.randrange(4)
         if style == 1:
             raw = raw.upper()

@@ -329,19 +329,17 @@ def test_classify_never_looks_up_a_silent_call(tmp_path):
     assert classify(load_db(path), calls_of(CodonMutation(248, "CGG", "CGA"))) is None
 
 
-def test_classify_on_empty_schema_db():
-    empty = Database(columns=dict.fromkeys(COLUMNS, ()))
-    assert classify(empty, calls_of(r248w())) is None
-
-
-def test_extra_columns_follow_the_columns_mapping():
-    # the names beyond COLUMNS, in the mapping's order; not an argument
-    columns = {"origin": (), **dict.fromkeys(COLUMNS, ()), "cell_line": ()}
-    assert Database(columns=columns).extra_columns == ("origin", "cell_line")
+def test_extra_columns_follow_the_columns_mapping(tmp_path):
+    # the names beyond COLUMNS, in the header's order; not an argument
+    path = write_tsv(
+        tmp_path / "db.tsv",
+        "somatic\ta\t248\tCGG\tTGG\tR\tW\tBreast carcinoma\tCL-1",
+        header=f"origin\t{HEADER}\tcell_line",
+    )
+    db = load_db(path)
+    assert db.extra_columns == ("origin", "cell_line")
     with pytest.raises(TypeError):
-        Database(columns=columns, extra_columns=("origin", "cell_line"))
-    with pytest.raises(ValueError, match="schema's fields"):
-        Database(columns={name: () for name in COLUMNS if name != "tumor_type"})
+        Database(columns=db.columns, extra_columns=("origin", "cell_line"))
 
 
 def test_classify_warns_on_wt_codon_disagreement(tmp_path):
@@ -618,12 +616,33 @@ def test_load_db_matches_the_oracle_on_the_29k_row_benchmark_db(tmp_path, monkey
     rows = write_benchmark_db(path, monkeypatch)
     db = load_db(path)
     assert len(db) == rows
-    assert len(set(db.columns["codon"])) > 256
-    assert len(set(db.columns["cell_line"])) > 256
+    assert len(db.columns["codon"].values) > 256
+    assert len(db.columns["cell_line"].values) > 256
     assert (db.records, db.extra_columns) == oracle_load_db(path)
 
 
-def test_a_column_of_70000_distinct_values_keeps_each_at_its_row():
+def test_query_matches_the_scan_oracle_on_the_29k_row_benchmark_db(tmp_path, monkeypatch):
+    """Full scans of text columns coded in one byte (tumor_type), two
+    bytes (cell_line) and by row position (record_id), and the same
+    clauses after a codon clause narrows the rows."""
+    path = tmp_path / "mutations.tsv"
+    write_benchmark_db(path, monkeypatch)
+    db = load_db(path)
+    for where in (
+        ["cell_line=CL-123"],
+        ["tumor_type=Lung carcinoma"],
+        ["record_id=T00123"],
+        ["codon=248", "record_id=T00123"],
+        ["codon=175", "cell_line=CL-123"],
+    ):
+        q = FilterQuery.from_strings(where)
+        got = [r.record_id for r in query(db, q).matches]
+        assert got == scan_query_oracle(db.records, list(q.clauses)), where
+
+
+def test_a_column_of_70000_distinct_values_keeps_each_at_its_row(tmp_path):
+    """Codes, record-id positions and index positions past 65,535 take
+    the 4-byte array type."""
     n = 70_000
     columns = {
         "record_id": [f"r{k}" for k in range(n)],
@@ -634,18 +653,15 @@ def test_a_column_of_70000_distinct_values_keeps_each_at_its_row():
         ]},
         "sample": tuple(f"S{k}" for k in range(n)),
     }
-    db = Database(columns=columns)
+    rows = zip(*([str(value) for value in values] for values in columns.values()))
+    path = write_tsv(tmp_path / "db.tsv", *map("\t".join, rows), header="\t".join(columns))
+    db = load_db(path)
     assert db.extra_columns == ("sample",)
     for name, values in columns.items():
         column = db.columns[name]
-        assert len(column) == n
-        assert list(column) == list(values)
-        assert all(column[pos] == value for pos, value in enumerate(values))
-    sample = db.columns["sample"]
-    assert sample[-1] == "S69999"
-    assert sample[65_535:65_538] == ("S65535", "S65536", "S65537")
-    with pytest.raises(TypeError):
-        sample[0] = "S1"
+        assert len(column.codes) == n
+        assert all(column.values[column.codes[pos]] == value for pos, value in enumerate(values))
+    assert db.columns["sample"].codes.itemsize == db.columns["record_id"].codes.itemsize == 4
     assert list(db.rows_at(393, "TGG")) == list(range(392, n, 393))
     result = query(db, FilterQuery((("sample", " s69999 "),)))
     assert [r.record_id for r in result.matches] == ["r69999"]
